@@ -160,6 +160,12 @@ class ScheduleSimulation:
         self._deadline_handle = None
         self._completed_tasks = 0
         self.processors: Dict[int, Processor] = {}
+        #: Per pooled processor, the length of its shared trace when
+        #: this run registered it: nothing before the mark can carry
+        #: this run's unique ``label_prefix``, so attribution and
+        #: refunds scan only the run's own lifetime, not the machine's
+        #: whole history.
+        self._marks: Dict[int, int] = {}
         self.network = (
             network
             if network is not None
@@ -205,7 +211,13 @@ class ScheduleSimulation:
     def _processor(self, ident: int) -> Processor:
         if ident not in self.processors:
             if self._pool is not None:
-                self.processors[ident] = self._pool[ident]
+                processor = self._pool[ident]
+                # An empty prefix matches every label, so it must keep
+                # scanning the whole history.
+                self._marks[ident] = (
+                    len(processor.intervals) if self.label_prefix else 0
+                )
+                self.processors[ident] = processor
             else:
                 self.processors[ident] = Processor(ident)
         return self.processors[ident]
@@ -518,8 +530,8 @@ class ScheduleSimulation:
             config=self.config,
             task_timings=timings,
             intervals={
-                ident: self._attributed_intervals(proc)
-                for ident, proc in sorted(self.processors.items())
+                ident: self.attributed_intervals(ident)
+                for ident in sorted(self.processors)
             },
             operation_processes=sum(len(rt.processes) for rt in self.runtimes),
             stream_count=self.schedule.stream_count(),
@@ -527,20 +539,23 @@ class ScheduleSimulation:
             result_tuples=sum(p.out_total for p in root.processes),
         )
 
-    def _attributed_intervals(
-        self, processor: Processor
-    ) -> List[Tuple[float, float, str]]:
-        """The processor's busy intervals belonging to this run.
+    def attributed_intervals(self, ident: int) -> List[Tuple[float, float, str]]:
+        """Logical processor ``ident``'s busy intervals belonging to
+        this run.
 
         An owned run is alone on its processors, so everything is its
-        own; on a shared pool the ``label_prefix`` identifies it.
+        own.  On a shared pool the ``label_prefix`` identifies it, and
+        only the trace past the run's registration mark is scanned:
+        the cost follows the run's own lifetime, not the machine's.
         """
+        processor = self.processors[ident]
         if self._pool is None:
             return list(processor.intervals)
+        prefix = self.label_prefix
         return [
             span
-            for span in processor.intervals
-            if span[2].startswith(self.label_prefix)
+            for span in processor.intervals[self._marks[ident]:]
+            if span[2].startswith(prefix)
         ]
 
 

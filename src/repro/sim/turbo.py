@@ -1317,7 +1317,10 @@ def _rollback(sim, marks: List[Tuple[object, int, float]]) -> None:
     and reset runtimes/processes/ports to their as-built constants.
     Valid only immediately after ``_build`` — the reset values are the
     constructor's, which is exactly the state the classic loop expects
-    to start from."""
+    to start from.  The trace marks were taken right after this
+    build, so the truncation never cuts below the interval mark
+    (``ScheduleSimulation._marks``) of this run or of any run built
+    earlier; attribution past those marks stays valid."""
     for processor, mark, busy in marks:
         del processor.intervals[mark:]
         processor.busy_until = busy

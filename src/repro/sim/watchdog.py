@@ -24,7 +24,7 @@ invisible to results (the workload engine arms one by default).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Tuple
+from typing import Any, Callable, Deque, List, Tuple
 
 #: Default trip threshold.  Legitimate workloads dispatch at most a few
 #: thousand events at one instant (bounded by machine size × concurrent
@@ -87,7 +87,11 @@ class Watchdog:
         self.max_events_per_instant = max_events_per_instant
         self._instant: float = float("-inf")
         self._count_at_instant = 0
-        self._recent: Deque[Tuple[float, str]] = deque(maxlen=trace_events)
+        # Raw (time, fn, args) events: they are described only in
+        # dump(), i.e. when the watchdog trips, never per dispatch.
+        self._recent: Deque[Tuple[float, Callable, Tuple[Any, ...]]] = deque(
+            maxlen=trace_events
+        )
         self.tripped = False
 
     # -- the clock's per-dispatch hook ------------------------------------
@@ -99,7 +103,7 @@ class Watchdog:
             self._count_at_instant = 1
         else:
             self._count_at_instant += 1
-        self._recent.append((time, _describe(fn, args)))
+        self._recent.append((time, fn, args))
         if self._count_at_instant > self.max_events_per_instant:
             self.tripped = True
             raise WatchdogError(
@@ -118,8 +122,8 @@ class Watchdog:
         lines: List[str] = [
             f"last {len(self._recent)} events before the watchdog tripped:"
         ]
-        for time, description in self._recent:
-            lines.append(f"  t={time:.6f}s  {description}")
+        for time, fn, args in self._recent:
+            lines.append(f"  t={time:.6f}s  {_describe(fn, args)}")
         return "\n".join(lines)
 
 

@@ -340,9 +340,9 @@ class WorkloadEngine:
         self.fast_path_queries = 0
         self.records: List[QueryRecord] = []
         self._queue: Deque[QueryRecord] = deque()
-        # record.index -> (record, sim, allocation, memory_bytes, prefix)
+        # record.index -> (record, sim, allocation, memory_bytes)
         self._active: Dict[
-            int, Tuple[QueryRecord, ScheduleSimulation, Allocation, float, str]
+            int, Tuple[QueryRecord, ScheduleSimulation, Allocation, float]
         ] = {}
         # Surviving materialized task results, per query (``reassign``).
         self._credits: Dict[int, FrozenSet[int]] = {}
@@ -807,9 +807,7 @@ class WorkloadEngine:
                 **hosted,
             )
         record.reused_tasks += len(sim.skip_tasks)
-        self._active[record.index] = (
-            record, sim, allocation, memory_bytes, prefix
-        )
+        self._active[record.index] = (record, sim, allocation, memory_bytes)
         self._in_flight += 1
         self._memory_in_use += memory_bytes
         self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
@@ -883,7 +881,7 @@ class WorkloadEngine:
     def _finish(self, record: QueryRecord, sim: ScheduleSimulation) -> None:
         record.completed = self.machine.clock.now
         record.result = sim.result()
-        _, _, allocation, memory_bytes, _ = self._active.pop(record.index)
+        _, _, allocation, memory_bytes = self._active.pop(record.index)
         self._credits.pop(record.index, None)
         if allocation.exclusive:
             self.machine.release(allocation.processors)
@@ -934,13 +932,9 @@ class WorkloadEngine:
         """Unwind one in-flight hosted simulation: turn its processes
         inert, account the burnt CPU to the record, and release the
         attempt's processors and memory."""
-        _, sim, allocation, memory_bytes, prefix = self._active.pop(
-            record.index
-        )
+        _, sim, allocation, memory_bytes = self._active.pop(record.index)
         sim.abort(reason)
-        record.wasted_seconds += self._attempt_busy_seconds(
-            allocation, prefix
-        )
+        record.wasted_seconds += self._attempt_busy_seconds(sim)
         if allocation.exclusive:
             self.machine.release(allocation.processors)
         self._in_flight -= 1
@@ -961,7 +955,7 @@ class WorkloadEngine:
             for entry in self._active.values()
             if ident in entry[2].processors
         ]
-        for record, _sim, _allocation, _memory_bytes, _prefix in victims:
+        for record, _sim, _allocation, _memory_bytes in victims:
             sim = self._abort_active(record, f"processor {ident} crashed")
             record.aborts.append(now)
             self._recover(record, sim, now)
@@ -972,18 +966,16 @@ class WorkloadEngine:
         self.machine.repair(crash.processor)
         self._pump()
 
-    def _attempt_busy_seconds(
-        self, allocation: Allocation, prefix: str
-    ) -> float:
-        """CPU-busy seconds the aborted attempt burnt (its trace labels
-        carry the attempt's unique prefix)."""
+    @staticmethod
+    def _attempt_busy_seconds(sim: ScheduleSimulation) -> float:
+        """CPU-busy seconds the aborted attempt burnt: its own
+        attributed intervals, summed per processor in allocation
+        (logical) order.  Processors the schedule never touched hold
+        none of the attempt's work and add nothing."""
         wasted = 0.0
-        for physical in allocation.processors:
-            processor = self.machine.processors[physical]
+        for ident in sorted(sim.processors):
             wasted += sum(
-                end - start
-                for start, end, label in processor.intervals
-                if label.startswith(prefix)
+                end - start for start, end, _ in sim.attributed_intervals(ident)
             )
         return wasted
 
