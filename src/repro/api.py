@@ -407,42 +407,14 @@ def run_workload(
     ``write_jsonl`` emits one deterministic row per query.
     """
     _reject_unknown_keywords("run_workload", unknown, RUN_WORKLOAD_KEYWORDS)
-    from .workload import (
-        REJECTED_RETRY_DELAY,
-        WorkloadEngine,
-        make_policy,
-        make_tenants,
-    )
+    from .workload import WorkloadEngine, make_policy
 
+    options = _engine_options(locals())
     mix = _resolve_mix(mix_or_shape, strategy, cardinality, relations)
-    tenant_map = make_tenants(tenants)
     engine = WorkloadEngine(
-        machine_size,
-        make_policy(policy, share),
-        config=config,
-        cost_model=cost_model,
-        skew_theta=skew_theta,
-        max_concurrent=max_concurrent,
-        queue_limit=queue_limit,
-        memory_budget_bytes=memory_budget_bytes,
-        faults=faults,
-        recovery=recovery,
-        max_retries=max_retries,
-        retry_backoff=retry_backoff,
-        rejected_retry_delay=(
-            REJECTED_RETRY_DELAY
-            if rejected_retry_delay is None
-            else rejected_retry_delay
-        ),
-        deadline=deadline,
-        deadline_seed=seed,
-        shed=shed,
-        watchdog_limit=watchdog_limit,
-        scheduler=scheduler,
-        pool_size=pool_size,
-        scheduling_cost=scheduling_cost,
-        tenants=tenant_map,
-        fast_path=fast_path,
+        options.pop("machine_size"),
+        make_policy(options.pop("policy"), options.pop("share")),
+        **options,
     )
     for when, index in cancellations or ():
         engine.cancel_at(when, index)
@@ -456,8 +428,34 @@ def run_workload(
             seed=seed,
         )
     return engine.run_open(
-        _open_pairs(mix, tenant_map, arrivals, rate, duration, seed)
+        _open_pairs(mix, options["tenants"], arrivals, rate, duration, seed)
     )
+
+
+def _engine_options(knobs) -> dict:
+    """The engine options of :func:`run_workload`/:func:`run_cluster`.
+
+    ``knobs`` is the facade's ``locals()``: every name that is also a
+    :class:`~repro.workload.WorkloadEngine` keyword passes through
+    (the engine's signature is the one declaration of the knobs), plus
+    the policy ``share``.  The shared defaults are applied here: the
+    closed-loop rejection retry delay, the deadline draws seeded by the
+    run's ``seed``, and the tenants normalized to ``{name: spec}``.
+    """
+    import inspect
+
+    from .workload import REJECTED_RETRY_DELAY, WorkloadEngine, make_tenants
+
+    accepted = inspect.signature(WorkloadEngine).parameters
+    options = {
+        name: value for name, value in knobs.items()
+        if name in accepted or name == "share"
+    }
+    if options["rejected_retry_delay"] is None:
+        options["rejected_retry_delay"] = REJECTED_RETRY_DELAY
+    options["deadline_seed"] = knobs["seed"]
+    options["tenants"] = make_tenants(options["tenants"])
+    return options
 
 
 def _resolve_mix(mix_or_shape, strategy, cardinality, relations):
@@ -638,39 +636,22 @@ def run_cluster(
     """
     _reject_unknown_keywords("run_cluster", unknown, RUN_CLUSTER_KEYWORDS)
     from .cluster import DEFAULT_COOLDOWN, Trace, run_cluster_shards
-    from .workload import REJECTED_RETRY_DELAY, make_tenants
 
+    options = _engine_options(locals())
     mix = _resolve_mix(mix_or_shape, strategy, cardinality, relations)
-    tenant_map = make_tenants(tenants)
-    engine_options = {
-        "machine_size": machine_size,
-        "policy": policy,
-        "share": share,
-        "config": config,
-        "cost_model": cost_model,
-        "skew_theta": skew_theta,
-        "max_concurrent": max_concurrent,
-        "queue_limit": queue_limit,
-        "memory_budget_bytes": memory_budget_bytes,
-        "rejected_retry_delay": (
-            REJECTED_RETRY_DELAY
-            if rejected_retry_delay is None
-            else rejected_retry_delay
-        ),
-        "deadline": deadline,
-        "deadline_seed": seed,
-        "shed": shed,
-        "watchdog_limit": watchdog_limit,
-        "scheduler": scheduler,
-        "pool_size": pool_size,
-        "scheduling_cost": scheduling_cost,
-        "tenants": tenant_map,
-        "fast_path": fast_path,
-        "faults": faults,
-        "recovery": recovery,
-        "max_retries": max_retries,
-        "retry_backoff": retry_backoff,
-    }
+    if trace is not None:
+        if arrivals == "closed":
+            raise ValueError(
+                "a trace replays as an open-loop stream; it cannot be "
+                "combined with arrivals='closed'"
+            )
+        if not isinstance(trace, Trace):
+            trace = Trace.read(trace)
+        pairs = trace.arrivals()
+    elif arrivals != "closed":
+        pairs = _open_pairs(
+            mix, options["tenants"], arrivals, rate, duration, seed
+        )
     resilient = any(
         value is not None
         for value in (
@@ -678,7 +659,7 @@ def run_cluster(
         )
     )
     if resilient:
-        if arrivals == "closed" and trace is None:
+        if arrivals == "closed":
             raise ValueError(
                 "the resilient (coordinated) cluster serves open-loop "
                 "traffic; closed-loop clients stay on the pre-routed path"
@@ -690,18 +671,10 @@ def run_cluster(
             )
         from .cluster import run_resilient_cluster
 
-        if trace is not None:
-            if not isinstance(trace, Trace):
-                trace = Trace.read(trace)
-            pairs = trace.arrivals()
-        else:
-            pairs = _open_pairs(
-                mix, tenant_map, arrivals, rate, duration, seed
-            )
         return run_resilient_cluster(
             open_arrivals=pairs,
             shards=shards,
-            engine_options=engine_options,
+            engine_options=options,
             placement=placement,
             shard_faults=shard_faults,
             retry_budget=0 if retry_budget is None else retry_budget,
@@ -715,28 +688,14 @@ def run_cluster(
         shards=shards,
         placement=placement,
         autoscale=autoscale,
-        engine_options=engine_options,
+        engine_options=options,
         scale_max=scale_max,
         scale_min=scale_min,
         scale_cooldown=(
             DEFAULT_COOLDOWN if scale_cooldown is None else scale_cooldown
         ),
         workers=workers,
-        placement_context={
-            "machine_size": machine_size,
-            "config": config,
-            "cost_model": cost_model,
-        },
     )
-    if trace is not None:
-        if arrivals == "closed":
-            raise ValueError(
-                "a trace replays as an open-loop stream; it cannot be "
-                "combined with arrivals='closed'"
-            )
-        if not isinstance(trace, Trace):
-            trace = Trace.read(trace)
-        return run_cluster_shards(open_arrivals=trace.arrivals(), **common)
     if arrivals == "closed":
         return run_cluster_shards(
             closed={
@@ -749,13 +708,7 @@ def run_cluster(
             },
             **common,
         )
-    return run_cluster_shards(
-        open_arrivals=_open_pairs(
-            mix, tenant_map, arrivals, rate, duration, seed
-        ),
-        **common,
-    )
-
+    return run_cluster_shards(open_arrivals=pairs, **common)
 
 def _resolve_tree(tree_or_shape: Union[str, Node]) -> Node:
     if isinstance(tree_or_shape, (Leaf, Join)):

@@ -217,27 +217,96 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _cmd_workload(args) -> int:
-    import json
+def _add_traffic_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags the ``workload`` and ``cluster`` subcommands share;
+    :func:`_traffic_options` maps them to facade keywords."""
+    parser.add_argument("--shape", choices=SHAPE_NAMES, default="wide_bushy",
+                        help="query tree shape (Figure 8)")
+    parser.add_argument("--paper-mix", action="store_true",
+                        help="draw from all five shapes instead of --shape")
+    parser.add_argument("--relations", type=int, default=10)
+    parser.add_argument("--cardinality", type=int, default=5000)
+    parser.add_argument("--strategy",
+                        choices=["SP", "SE", "RD", "FP", "auto"], default="FP",
+                        help="execution strategy ('auto': Section 5 guideline)")
+    parser.add_argument("--arrivals", choices=["poisson", "fixed", "closed"],
+                        default="poisson",
+                        help="open-loop arrival process, or a closed loop")
+    parser.add_argument("--rate", type=float, default=1.0,
+                        help="open-loop arrival rate (queries/second, "
+                             "cluster-wide)")
+    parser.add_argument("--duration", type=float, default=60.0,
+                        help="simulated arrival horizon in seconds")
+    parser.add_argument("--clients", type=int, default=4,
+                        help="closed-loop client population (split "
+                             "round-robin across shards)")
+    parser.add_argument("--think", type=float, default=0.0,
+                        help="closed-loop think time between queries")
+    parser.add_argument("--queries-per-client", type=int, default=None,
+                        help="closed-loop per-client query budget")
+    parser.add_argument("--machine-size", type=int, default=40,
+                        help="processors in the shared pool (per shard)")
+    parser.add_argument("--policy",
+                        choices=["exclusive", "round_robin", "guideline"],
+                        default="exclusive",
+                        help="processor allocation policy")
+    parser.add_argument("--share", type=int, default=None,
+                        help="processors per query (policy-specific default)")
+    parser.add_argument("--queue-limit", type=int, default=None,
+                        help="admission queue bound (extra arrivals "
+                             "rejected; per shard)")
+    parser.add_argument("--skew", type=float, default=0.0,
+                        help="Zipf partitioning skew for every query")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for arrivals, mix sampling, think loops "
+                             "and deadlines")
+    parser.add_argument("--crash-rate", type=float, default=0.0,
+                        help="seeded processor crash rate (crashes/second "
+                             "per machine, each shard drawing its own "
+                             "schedule; 0 = fault-free)")
+    parser.add_argument("--repair-time", type=float, default=60.0,
+                        help="seconds until a crashed processor rejoins")
+    parser.add_argument("--recovery",
+                        choices=["fail", "restart", "reassign"], default="fail",
+                        help="what happens to a crashed query")
+    parser.add_argument("--deadline", type=float, default=None,
+                        help="per-query deadline in simulated seconds from "
+                             "arrival (queued queries expire, running ones "
+                             "abort at the deadline)")
+    parser.add_argument("--shed",
+                        choices=["drop_newest", "drop_oldest",
+                                 "deadline_aware"],
+                        default=None,
+                        help="load-shedding policy at admission")
+    parser.add_argument("--scheduler",
+                        choices=["fifo", "edf", "sjf", "priority", "wfq"],
+                        default=None,
+                        help="queue-ordering policy (default: the legacy "
+                             "FIFO deque; 'fifo' is its byte-identical alias)")
+    parser.add_argument("--tenants", default=None, metavar="SPEC_JSON",
+                        help="path to a tenant spec file: "
+                             '{"tenants": [{"name": ..., "weight": ..., '
+                             '"rate": ...}, ...]}')
+    parser.add_argument("--no-fast-path", action="store_true",
+                        help="force every query onto the classic event loop "
+                             "(results are bit-identical either way)")
+    parser.add_argument("--jsonl", "--out", dest="jsonl", default=None,
+                        help="per-query JSONL path (default: under "
+                             "benchmarks/results/)")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress the summary line")
 
-    from .api import run_workload
+
+def _traffic_options(args) -> dict:
+    """The :func:`~repro.api.run_workload` / :func:`~repro.api.run_cluster`
+    keywords the shared flags spell (fault schedules excepted)."""
+    import json
 
     tenants = None
     if args.tenants is not None:
         tenants = json.loads(pathlib.Path(args.tenants).read_text())
-    faults = None
-    if args.crash_rate > 0:
-        from .faults import FaultSchedule
-
-        faults = FaultSchedule.generate(
-            machine_size=args.machine_size,
-            horizon=args.duration,
-            seed=args.seed,
-            crash_rate=args.crash_rate,
-            repair_time=args.repair_time,
-        )
-    result = run_workload(
-        args.shape if not args.paper_mix else "paper",
+    return dict(
+        mix_or_shape="paper" if args.paper_mix else args.shape,
         arrivals=args.arrivals,
         rate=args.rate,
         duration=args.duration,
@@ -251,28 +320,37 @@ def _cmd_workload(args) -> int:
         clients=args.clients,
         think_time=args.think,
         queries_per_client=args.queries_per_client,
-        max_concurrent=args.max_concurrent,
         queue_limit=args.queue_limit,
-        memory_budget_bytes=(
-            args.memory_budget_mb * 1024 * 1024
-            if args.memory_budget_mb is not None else None
-        ),
         skew_theta=args.skew,
-        faults=faults,
         recovery=args.recovery,
         deadline=args.deadline,
         shed=args.shed,
         scheduler=args.scheduler,
-        pool_size=args.pool_size,
-        scheduling_cost=args.scheduling_cost,
         tenants=tenants,
         fast_path=not args.no_fast_path,
     )
+
+
+def _crash_schedule(args, seed: int):
+    """One machine's seeded processor-crash schedule from
+    ``--crash-rate``/``--repair-time``."""
+    from .faults import FaultSchedule
+
+    return FaultSchedule.generate(
+        machine_size=args.machine_size,
+        horizon=args.duration,
+        seed=seed,
+        crash_rate=args.crash_rate,
+        repair_time=args.repair_time,
+    )
+
+
+def _write_rows(args, result, default_name: str) -> int:
+    """Write the per-query JSONL (``--jsonl``, else ``default_name``
+    under the results directory) and print the summary."""
     jsonl_path = args.jsonl
     if jsonl_path is None:
-        jsonl_path = _results_path(
-            f"workload_{args.shape}_{args.arrivals}.jsonl"
-        )
+        jsonl_path = _results_path(default_name)
     result.write_jsonl(jsonl_path)
     if not args.quiet:
         print(result.summary())
@@ -280,47 +358,71 @@ def _cmd_workload(args) -> int:
     return 0
 
 
-def _cmd_cluster(args) -> int:
-    import json
+def _cmd_workload(args) -> int:
+    from .api import run_workload
 
+    result = run_workload(
+        **_traffic_options(args),
+        max_concurrent=args.max_concurrent,
+        memory_budget_bytes=(
+            args.memory_budget_mb * 1024 * 1024
+            if args.memory_budget_mb is not None else None
+        ),
+        faults=(
+            _crash_schedule(args, args.seed) if args.crash_rate > 0 else None
+        ),
+        pool_size=args.pool_size,
+        scheduling_cost=args.scheduling_cost,
+    )
+    return _write_rows(
+        args, result, f"workload_{args.shape}_{args.arrivals}.jsonl"
+    )
+
+
+def _cmd_cluster(args) -> int:
     from .api import _open_pairs, _resolve_mix, run_cluster
-    from .cluster import Trace
+    from .cluster import Trace, shard_seed
     from .workload import make_tenants
 
-    tenants = None
-    if args.tenants is not None:
-        tenants = json.loads(pathlib.Path(args.tenants).read_text())
-    shape = args.shape if not args.paper_mix else "paper"
-    faults = None
+    options = _traffic_options(args)
     if args.crash_rate > 0:
-        from .cluster import shard_seed
-        from .faults import FaultSchedule
-
         # Engine-level (processor) faults, one independent seeded
         # schedule per shard — shards fail on their own timelines.
-        faults = [
-            FaultSchedule.generate(
-                machine_size=args.machine_size,
-                horizon=args.duration,
-                seed=shard_seed(args.seed, shard),
-                crash_rate=args.crash_rate,
-                repair_time=args.repair_time,
-            )
+        options["faults"] = [
+            _crash_schedule(args, shard_seed(args.seed, shard))
             for shard in range(args.shards)
         ]
-    shard_faults = None
     if args.shard_crash_rate > 0:
         from .faults import FaultSchedule
 
         # Cluster-level faults: crash events name whole shards.
-        shard_faults = FaultSchedule.generate(
+        options["shard_faults"] = FaultSchedule.generate(
             machine_size=args.shards,
             horizon=args.duration,
             seed=args.seed,
             crash_rate=args.shard_crash_rate,
             repair_time=args.shard_repair_time,
         )
-    options = dict(
+    if args.trace is not None:
+        options["trace"] = args.trace
+    elif args.record is not None and args.arrivals != "closed":
+        # Freeze the exact stream this run will serve, then replay it —
+        # the recorded trace reproduces this run bit for bit.
+        mix = _resolve_mix(
+            options["mix_or_shape"], args.strategy, args.cardinality,
+            args.relations,
+        )
+        pairs = _open_pairs(
+            mix, make_tenants(options["tenants"]), args.arrivals, args.rate,
+            args.duration, args.seed,
+        )
+        trace = Trace.from_arrivals(pairs, seed=args.seed)
+        trace.write(args.record)
+        if not args.quiet:
+            print(f"trace: {args.record} ({len(trace)} queries)")
+        options["trace"] = trace
+    result = run_cluster(
+        **options,
         shards=args.shards,
         placement=args.placement,
         autoscale=args.autoscale,
@@ -328,76 +430,16 @@ def _cmd_cluster(args) -> int:
         scale_min=args.scale_min,
         scale_cooldown=args.scale_cooldown,
         workers=args.workers,
-        seed=args.seed,
-        machine_size=args.machine_size,
-        policy=args.policy,
-        share=args.share,
-        strategy=args.strategy,
-        cardinality=args.cardinality,
-        relations=args.relations,
-        queue_limit=args.queue_limit,
-        skew_theta=args.skew,
-        deadline=args.deadline,
-        shed=args.shed,
-        scheduler=args.scheduler,
-        tenants=tenants,
-        fast_path=not args.no_fast_path,
-        faults=faults,
-        recovery=args.recovery,
-        shard_faults=shard_faults,
         retry_budget=args.retry_budget,
         hedge=args.hedge,
         breaker=True if args.breaker else None,
         throttle=True if args.throttle else None,
         failover=False if args.no_failover else None,
     )
-    if args.trace is not None:
-        trace = Trace.read(args.trace)
-        result = run_cluster(shape, trace=trace, **options)
-    elif args.arrivals == "closed":
-        result = run_cluster(
-            shape,
-            arrivals="closed",
-            clients=args.clients,
-            think_time=args.think,
-            queries_per_client=args.queries_per_client,
-            duration=args.duration,
-            **options,
-        )
-    else:
-        if args.record is not None:
-            # Freeze the exact stream this run will serve, then replay
-            # it — the recorded trace reproduces this run bit for bit.
-            mix = _resolve_mix(
-                shape, args.strategy, args.cardinality, args.relations
-            )
-            pairs = _open_pairs(
-                mix, make_tenants(tenants), args.arrivals, args.rate,
-                args.duration, args.seed,
-            )
-            trace = Trace.from_arrivals(pairs, seed=args.seed)
-            trace.write(args.record)
-            if not args.quiet:
-                print(f"trace: {args.record} ({len(trace)} queries)")
-            result = run_cluster(shape, trace=trace, **options)
-        else:
-            result = run_cluster(
-                shape,
-                arrivals=args.arrivals,
-                rate=args.rate,
-                duration=args.duration,
-                **options,
-            )
-    jsonl_path = args.jsonl
-    if jsonl_path is None:
-        jsonl_path = _results_path(
-            f"cluster_{args.shards}x_{args.placement}_{args.autoscale}.jsonl"
-        )
-    result.write_jsonl(jsonl_path)
-    if not args.quiet:
-        print(result.summary())
-        print(f"results: {jsonl_path}")
-    return 0
+    return _write_rows(
+        args, result,
+        f"cluster_{args.shards}x_{args.placement}_{args.autoscale}.jsonl",
+    )
 
 
 def _cmd_chaos(args) -> int:
@@ -652,98 +694,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "workload", help="serve a multi-query workload on one shared machine"
     )
-    p.add_argument("--shape", choices=SHAPE_NAMES, default="wide_bushy",
-                   help="query tree shape (Figure 8)")
-    p.add_argument("--paper-mix", action="store_true",
-                   help="draw from all five shapes instead of --shape")
-    p.add_argument("--relations", type=int, default=10)
-    p.add_argument("--cardinality", type=int, default=5000)
-    p.add_argument("--strategy",
-                   choices=["SP", "SE", "RD", "FP", "auto"], default="FP",
-                   help="execution strategy ('auto': Section 5 guideline)")
-    p.add_argument("--arrivals", choices=["poisson", "fixed", "closed"],
-                   default="poisson",
-                   help="open-loop arrival process, or a closed loop")
-    p.add_argument("--rate", type=float, default=1.0,
-                   help="open-loop arrival rate (queries/second)")
-    p.add_argument("--duration", type=float, default=60.0,
-                   help="simulated arrival horizon in seconds")
-    p.add_argument("--clients", type=int, default=4,
-                   help="closed-loop client population")
-    p.add_argument("--think", type=float, default=0.0,
-                   help="closed-loop think time between queries")
-    p.add_argument("--queries-per-client", type=int, default=None,
-                   help="closed-loop per-client query budget")
-    p.add_argument("--machine-size", type=int, default=40,
-                   help="processors in the shared pool")
-    p.add_argument("--policy",
-                   choices=["exclusive", "round_robin", "guideline"],
-                   default="exclusive", help="processor allocation policy")
-    p.add_argument("--share", type=int, default=None,
-                   help="processors per query (policy-specific default)")
+    _add_traffic_flags(p)
     p.add_argument("--max-concurrent", type=int, default=None,
                    help="admission gate: concurrent query bound")
-    p.add_argument("--queue-limit", type=int, default=None,
-                   help="admission queue bound (extra arrivals rejected)")
     p.add_argument("--memory-budget-mb", type=float, default=None,
                    help="admission gate: analytic memory budget (MB)")
-    p.add_argument("--skew", type=float, default=0.0,
-                   help="Zipf partitioning skew for every query")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for arrivals, mix sampling and think loops")
-    p.add_argument("--crash-rate", type=float, default=0.0,
-                   help="seeded processor crash rate (crashes/second "
-                        "machine-wide; 0 = fault-free)")
-    p.add_argument("--repair-time", type=float, default=60.0,
-                   help="seconds until a crashed processor rejoins")
-    p.add_argument("--recovery",
-                   choices=["fail", "restart", "reassign"], default="fail",
-                   help="what happens to a crashed query")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="per-query deadline in simulated seconds from "
-                        "arrival (queued queries expire, running ones "
-                        "abort at the deadline)")
-    p.add_argument("--shed",
-                   choices=["drop_newest", "drop_oldest", "deadline_aware"],
-                   default=None,
-                   help="load-shedding policy at admission")
-    p.add_argument("--scheduler",
-                   choices=["fifo", "edf", "sjf", "priority", "wfq"],
-                   default=None,
-                   help="queue-ordering policy (default: the legacy "
-                        "FIFO deque; 'fifo' is its byte-identical alias)")
     p.add_argument("--pool-size", type=int, default=None,
                    help="scheduler visibility pool: examine only the "
                         "first K queued queries per decision")
     p.add_argument("--scheduling-cost", type=float, default=0.0,
                    help="simulated seconds charged per admission decision")
-    p.add_argument("--tenants", default=None, metavar="SPEC_JSON",
-                   help="path to a tenant spec file: "
-                        '{"tenants": [{"name": ..., "weight": ..., '
-                        '"rate": ...}, ...]}')
-    p.add_argument("--no-fast-path", action="store_true",
-                   help="force every query onto the classic event loop "
-                        "(results are bit-identical either way)")
-    p.add_argument("--jsonl", "--out", dest="jsonl", default=None,
-                   help="per-query JSONL path (default: benchmarks/results/"
-                        "workload_<shape>_<arrivals>.jsonl)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress the summary line")
     p.set_defaults(fn=_cmd_workload)
 
     p = sub.add_parser(
         "cluster",
         help="serve traffic on a shared-nothing cluster of workload shards",
     )
-    p.add_argument("--shape", choices=SHAPE_NAMES, default="wide_bushy",
-                   help="query tree shape (Figure 8)")
-    p.add_argument("--paper-mix", action="store_true",
-                   help="draw from all five shapes instead of --shape")
-    p.add_argument("--relations", type=int, default=10)
-    p.add_argument("--cardinality", type=int, default=5000)
-    p.add_argument("--strategy",
-                   choices=["SP", "SE", "RD", "FP", "auto"], default="FP",
-                   help="execution strategy ('auto': Section 5 guideline)")
+    _add_traffic_flags(p)
     p.add_argument("--shards", type=int, default=2,
                    help="independent workload-engine shards")
     p.add_argument("--placement",
@@ -771,56 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record", default=None, metavar="TRACE_JSON",
                    help="record the generated open-loop stream to this "
                         "trace file, then serve it")
-    p.add_argument("--arrivals", choices=["poisson", "fixed", "closed"],
-                   default="poisson",
-                   help="open-loop arrival process, or a closed loop")
-    p.add_argument("--rate", type=float, default=1.0,
-                   help="open-loop arrival rate (queries/second, "
-                        "cluster-wide)")
-    p.add_argument("--duration", type=float, default=60.0,
-                   help="simulated arrival horizon in seconds")
-    p.add_argument("--clients", type=int, default=4,
-                   help="closed-loop client population (split round-robin "
-                        "across shards)")
-    p.add_argument("--think", type=float, default=0.0,
-                   help="closed-loop think time between queries")
-    p.add_argument("--queries-per-client", type=int, default=None,
-                   help="closed-loop per-client query budget")
-    p.add_argument("--machine-size", type=int, default=40,
-                   help="processors per shard")
-    p.add_argument("--policy",
-                   choices=["exclusive", "round_robin", "guideline"],
-                   default="exclusive", help="processor allocation policy")
-    p.add_argument("--share", type=int, default=None,
-                   help="processors per query (policy-specific default)")
-    p.add_argument("--queue-limit", type=int, default=None,
-                   help="per-shard admission queue bound")
-    p.add_argument("--skew", type=float, default=0.0,
-                   help="Zipf partitioning skew for every query")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for arrivals, mix sampling and deadlines")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="per-query deadline in simulated seconds")
-    p.add_argument("--shed",
-                   choices=["drop_newest", "drop_oldest", "deadline_aware"],
-                   default=None,
-                   help="load-shedding policy at admission")
-    p.add_argument("--scheduler",
-                   choices=["fifo", "edf", "sjf", "priority", "wfq"],
-                   default=None,
-                   help="per-shard queue-ordering policy")
-    p.add_argument("--tenants", default=None, metavar="SPEC_JSON",
-                   help="path to a tenant spec file")
-    p.add_argument("--no-fast-path", action="store_true",
-                   help="force every query onto the classic event loop")
-    p.add_argument("--crash-rate", type=float, default=0.0,
-                   help="per-shard processor crash rate (crashes/second; "
-                        "each shard draws its own seeded schedule)")
-    p.add_argument("--repair-time", type=float, default=60.0,
-                   help="seconds until a crashed processor rejoins")
-    p.add_argument("--recovery",
-                   choices=["fail", "restart", "reassign"], default="fail",
-                   help="per-shard recovery policy for crashed queries")
     p.add_argument("--shard-crash-rate", type=float, default=0.0,
                    help="whole-shard crash rate (crashes/second across "
                         "the cluster; switches to the coordinated "
@@ -841,11 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-failover", action="store_true",
                    help="resilient mode without failover: a dead home "
                         "shard fails its queries (baseline comparisons)")
-    p.add_argument("--jsonl", "--out", dest="jsonl", default=None,
-                   help="per-query JSONL path (default: benchmarks/results/"
-                        "cluster_<shards>x_<placement>_<autoscale>.jsonl)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress the summary line")
     p.set_defaults(fn=_cmd_cluster)
 
     p = sub.add_parser(

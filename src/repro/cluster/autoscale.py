@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..workload.engine import WorkloadEngine
 from ..workload.mix import QuerySpec
-from .placement import _FALLBACK_SERVICE, predict_service_time
+from .placement import estimate_service_time
 
 #: The autoscaling policies :func:`make_autoscaler` accepts.
 AUTOSCALE_NAMES = ("static", "reactive", "predictive")
@@ -136,24 +136,20 @@ class PredictiveAutoscaler(Autoscaler):
         if window is not None and window <= 0:
             raise ValueError("window must be positive")
         self.window = window
-        self._estimates: Dict[QuerySpec, float] = {}
+        self._estimates: Dict[Tuple, float] = {}
 
     def prepare(self, engine: "ElasticEngine") -> None:
         if self.window is None:
             self.window = engine.scale_cooldown
 
     def _estimate(self, engine: "ElasticEngine", spec: QuerySpec) -> float:
-        if spec not in self._estimates:
-            estimate = predict_service_time(
-                spec,
-                engine.scale_max,
-                engine.machine.config,
-                engine.cost_model,
-            )
-            self._estimates[spec] = (
-                estimate if estimate is not None else _FALLBACK_SERVICE
-            )
-        return self._estimates[spec]
+        return estimate_service_time(
+            self._estimates,
+            spec,
+            engine.scale_max,
+            engine.machine.config,
+            engine.cost_model,
+        )
 
     def desired(
         self, engine: "ElasticEngine", now: float

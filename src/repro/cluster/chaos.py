@@ -32,6 +32,7 @@ ready to be replayed as a standalone test.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import random
 from dataclasses import asdict, dataclass, field
@@ -41,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..faults import FaultSchedule
 from ..sim.machine import MachineConfig
 from ..sim.watchdog import WatchdogError
+from ..workload.engine import WorkloadEngine
 from ..workload.mix import QueryMix
 from .resilience import run_resilient_cluster
 
@@ -73,33 +75,21 @@ def campaign_engine_options(
     config: Optional[MachineConfig] = None,
     **overrides,
 ) -> Dict:
-    """A complete per-shard engine-options dict (every key
-    :func:`repro.cluster.router._build_engine` indexes), with the
-    campaign defaults; ``overrides`` patch individual keys."""
+    """A per-shard engine-options dict with the campaign's settings;
+    every other engine keyword keeps its
+    :class:`~repro.workload.WorkloadEngine` default.  ``overrides``
+    patch individual keys: the policy ``share`` or any engine keyword."""
+    accepted = set(inspect.signature(WorkloadEngine).parameters) | {"share"}
+    unknown = sorted(set(overrides) - accepted)
+    if unknown:
+        raise ValueError(f"unknown engine option keys {unknown}")
     options = dict(
         machine_size=machine_size,
         policy="guideline",
-        share=None,
         config=config if config is not None else campaign_machine_config(),
-        cost_model=None,
-        skew_theta=0.0,
-        max_concurrent=None,
-        queue_limit=None,
-        memory_budget_bytes=None,
         rejected_retry_delay=0.25,
-        deadline=None,
-        deadline_seed=0,
-        shed=None,
         watchdog_limit=200_000,
-        scheduler=None,
-        pool_size=None,
-        scheduling_cost=0.0,
-        tenants=None,
-        fast_path=True,
     )
-    unknown = sorted(set(overrides) - set(options))
-    if unknown:
-        raise ValueError(f"unknown engine option keys {unknown}")
     options.update(overrides)
     return options
 

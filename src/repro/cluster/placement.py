@@ -95,18 +95,7 @@ class LeastLoadedPlacement(PlacementPolicy):
         self._config = context.get("config")
         self._cost_model = context.get("cost_model")
         self._busy_until = [0.0] * shards
-        self._estimates: Dict[QuerySpec, float] = {}
-
-    def _estimate(self, spec: QuerySpec) -> float:
-        if spec in self._estimates:
-            return self._estimates[spec]
-        estimate = predict_service_time(
-            spec, self._machine_size, self._config, self._cost_model
-        )
-        if estimate is None:
-            estimate = _FALLBACK_SERVICE
-        self._estimates[spec] = estimate
-        return estimate
+        self._estimates: Dict[Tuple, float] = {}
 
     def place(self, index: int, arrival: float, spec: QuerySpec) -> int:
         # min() is stable: on tied forecasts the lowest index wins.
@@ -114,8 +103,12 @@ class LeastLoadedPlacement(PlacementPolicy):
             range(self.shards),
             key=lambda s: max(self._busy_until[s], arrival),
         )
+        estimate = estimate_service_time(
+            self._estimates, spec, self._machine_size, self._config,
+            self._cost_model,
+        )
         self._busy_until[shard] = (
-            max(self._busy_until[shard], arrival) + self._estimate(spec)
+            max(self._busy_until[shard], arrival) + estimate
         )
         return shard
 
@@ -218,3 +211,24 @@ def predict_service_time(
     from ..model.analytic import predict_spec_service_time
 
     return predict_spec_service_time(spec, machine_size, config, cost_model)
+
+
+def estimate_service_time(
+    cache: Dict[Tuple, float],
+    spec: QuerySpec,
+    machine_size: int,
+    config=None,
+    cost_model=None,
+) -> float:
+    """:func:`predict_service_time`, memoized in the caller's ``cache``
+    and never ``None``: a spec the model cannot cost is charged
+    ``_FALLBACK_SERVICE``.  The forecast reads only the spec's shape,
+    cardinality, strategy and relation count, so those are the key."""
+    key = (spec.shape, spec.cardinality, spec.strategy, spec.relations)
+    estimate = cache.get(key)
+    if estimate is None:
+        estimate = predict_service_time(spec, machine_size, config, cost_model)
+        if estimate is None:
+            estimate = _FALLBACK_SERVICE
+        cache[key] = estimate
+    return estimate

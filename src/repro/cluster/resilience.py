@@ -78,18 +78,14 @@ from ..workload.mix import QuerySpec
 from .placement import (
     PLACEMENT_NAMES,
     build_ring,
-    predict_service_time,
+    estimate_service_time,
     ring_lookup_live,
 )
-from .router import ClusterResult, ShardReport, shard_seed
+from .router import ClusterResult, shard_report
 
 #: Base cluster-level retry backoff in simulated seconds; retry k of a
 #: query waits ``RETRY_BACKOFF * 2**(k-1)`` after its abort.
 RETRY_BACKOFF = 0.5
-
-#: Fallback hedging/busy-until estimate for a spec the analytic model
-#: cannot cost (mirrors placement's ``_FALLBACK_SERVICE``).
-_FALLBACK_SERVICE = 1.0
 
 
 def _policy_from(cls, value, name: str):
@@ -388,45 +384,6 @@ class ResilientClusterResult(ClusterResult):
     def rows(self) -> List[Dict]:
         return [record.row() for record in self.records]
 
-    def submitted_count(self) -> int:
-        return len(self.records)
-
-    def completed_count(self) -> int:
-        return sum(1 for r in self.records if r.completed is not None)
-
-    def useful_count(self) -> int:
-        return sum(
-            1
-            for r in self.records
-            if r.completed is not None and not r.deadline_missed
-        )
-
-    def rejected_count(self) -> int:
-        return sum(1 for r in self.records if r.rejected)
-
-    def failed_count(self) -> int:
-        return sum(1 for r in self.records if r.failed)
-
-    def shed_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for r in self.records:
-            if r.shed is not None:
-                counts[r.shed] = counts.get(r.shed, 0) + 1
-        return counts
-
-    def latency_stats(self, shard=None) -> Dict[str, Optional[float]]:
-        if shard is not None:
-            return super().latency_stats(shard)
-        values = [r.latency for r in self.records if r.completed is not None]
-        if not values:
-            return {"mean": None, "p50": None, "p95": None, "p99": None}
-        return {
-            "mean": sum(values) / len(values),
-            "p50": percentile(values, 50.0),
-            "p95": percentile(values, 95.0),
-            "p99": percentile(values, 99.0),
-        }
-
     def summary(self) -> str:
         text = super().summary()
         res = self.resilience
@@ -718,16 +675,10 @@ class ResilientCluster:
     # -- routing ----------------------------------------------------------
 
     def _estimate(self, spec: QuerySpec) -> float:
-        key = (spec.shape, spec.cardinality, spec.strategy, spec.relations)
-        if key in self._estimates:
-            return self._estimates[key]
-        estimate = predict_service_time(
-            spec, self._machine_size, self._config, self._cost_model
+        return estimate_service_time(
+            self._estimates, spec, self._machine_size, self._config,
+            self._cost_model,
         )
-        if estimate is None:
-            estimate = _FALLBACK_SERVICE
-        self._estimates[key] = estimate
-        return estimate
 
     def _candidates(self, now: float) -> List[int]:
         """Live shards the breakers will route to, in index order."""
@@ -1076,27 +1027,10 @@ class ResilientCluster:
             ) from exc
 
     def _collect(self) -> ResilientClusterResult:
-        reports = []
-        for shard, engine in enumerate(self.engines):
-            result = engine.collect_result()
-            reports.append(
-                ShardReport(
-                    shard=shard,
-                    rows=result.rows(),
-                    machine_size=engine.machine.size,
-                    policy=result.policy,
-                    makespan=result.makespan,
-                    busy_seconds=result.busy_seconds,
-                    peak_in_flight=result.peak_in_flight,
-                    peak_queued=result.peak_queued,
-                    scheduler=result.scheduler,
-                    scheduling_decisions=result.scheduling_decisions,
-                    fast_path_queries=result.fast_path_queries,
-                    capacity_base=engine.machine.size,
-                    capacity_max=engine.machine.size,
-                    capacity_final=engine.machine.size,
-                )
-            )
+        reports = [
+            shard_report(shard, engine, engine.collect_result())
+            for shard, engine in enumerate(self.engines)
+        ]
         per_shard = []
         for shard, stats in enumerate(self._shard_stats):
             per_shard.append(

@@ -153,23 +153,37 @@ class ClusterResult:
         return write_jsonl(path, self.rows())
 
     # -- cross-shard aggregates -------------------------------------------
+    # Counts and latency come from the merged rows, so both cluster paths
+    # account the same way (rows merge in shard order, which is also the
+    # order the latencies are summed in).
 
     def submitted_count(self) -> int:
-        return sum(len(report.rows) for report in self.shards)
+        return len(self.rows())
 
     def completed_count(self) -> int:
-        return sum(report.completed_count() for report in self.shards)
+        return sum(1 for row in self.rows() if row["completed"] is not None)
 
     def useful_count(self) -> int:
-        return sum(report.useful_count() for report in self.shards)
-
-    def rejected_count(self) -> int:
+        """Completions that met their deadline (see
+        :meth:`ShardReport.useful_count`)."""
         return sum(
             1
-            for report in self.shards
-            for row in report.rows
-            if row["rejected"]
+            for row in self.rows()
+            if row["completed"] is not None and not row["deadline_missed"]
         )
+
+    def rejected_count(self) -> int:
+        return sum(1 for row in self.rows() if row["rejected"])
+
+    def failed_count(self) -> int:
+        return sum(1 for row in self.rows() if row["failed"])
+
+    def shed_counts(self) -> Dict[str, int]:
+        counts: Dict[str, int] = {}
+        for row in self.rows():
+            if row["shed"] is not None:
+                counts[row["shed"]] = counts.get(row["shed"], 0) + 1
+        return counts
 
     @property
     def makespan(self) -> float:
@@ -197,10 +211,11 @@ class ClusterResult:
         """Global (or one shard's) mean/p50/p95/p99 latency."""
         if shard is not None:
             return _latency_stats(self.shards[shard].latencies())
-        values: List[float] = []
-        for report in self.shards:
-            values.extend(report.latencies())
-        return _latency_stats(values)
+        return _latency_stats([
+            row["latency"]
+            for row in self.rows()
+            if row["completed"] is not None
+        ])
 
     def scale_events(self) -> List[Dict]:
         """Every shard's scale events, tagged with the shard index."""
@@ -258,45 +273,25 @@ class ClusterResult:
 def _build_engine(
     payload: Dict, *, clock=None, on_query_done=None
 ) -> WorkloadEngine:
-    options = payload["engine"]
-    policy = make_policy(options["policy"], options["share"])
-    common = dict(
-        config=options["config"],
-        cost_model=options["cost_model"],
-        skew_theta=options["skew_theta"],
-        max_concurrent=options["max_concurrent"],
-        queue_limit=options["queue_limit"],
-        memory_budget_bytes=options["memory_budget_bytes"],
-        rejected_retry_delay=options["rejected_retry_delay"],
-        deadline=options["deadline"],
-        deadline_seed=options["deadline_seed"],
-        shed=options["shed"],
-        watchdog_limit=options["watchdog_limit"],
-        scheduler=options["scheduler"],
-        pool_size=options["pool_size"],
-        scheduling_cost=options["scheduling_cost"],
-        tenants=options["tenants"],
-        fast_path=options["fast_path"],
-        # Engine-level fault schedule + recovery policy, per shard
-        # (absent from pre-resilience payloads; .get keeps them valid).
-        faults=options.get("faults"),
-        recovery=options.get("recovery", "fail"),
-        max_retries=options.get("max_retries", 3),
-        retry_backoff=options.get("retry_backoff", 1.0),
-        clock=clock,
-        on_query_done=on_query_done,
-    )
+    """The shard's engine: ``payload["engine"]`` holds the machine
+    size, the policy name and share, and the engine keywords as they
+    are passed to :class:`~repro.workload.WorkloadEngine`."""
+    options = dict(payload["engine"])
+    size = options.pop("machine_size")
+    policy = make_policy(options.pop("policy"), options.pop("share", None))
+    hooks = dict(clock=clock, on_query_done=on_query_done)
     autoscale = payload["autoscale"]
     if autoscale is None:
-        return WorkloadEngine(options["machine_size"], policy, **common)
+        return WorkloadEngine(size, policy, **options, **hooks)
     return ElasticEngine(
-        options["machine_size"],
+        size,
         policy,
         autoscaler=make_autoscaler(autoscale["policy"]),
         scale_max=autoscale["scale_max"],
         scale_min=autoscale["scale_min"],
         scale_cooldown=autoscale["scale_cooldown"],
-        **common,
+        **options,
+        **hooks,
     )
 
 
@@ -316,16 +311,21 @@ def run_shard(payload: Dict) -> ShardReport:
         )
     else:
         result = engine.run_open(payload["arrivals"])
+    return shard_report(payload["shard"], engine, result)
+
+
+def shard_report(shard: int, engine: WorkloadEngine, result) -> ShardReport:
+    """One shard's engine and its result, as a picklable report."""
     if isinstance(engine, ElasticEngine):
-        capacity = (engine.base_capacity, engine.scale_max, engine.capacity)
+        base, top, final = (
+            engine.base_capacity, engine.scale_max, engine.capacity
+        )
         events = [e.to_payload() for e in engine.scale_events]
-        base = engine.base_capacity
     else:
-        base = engine.machine.size
-        capacity = (base, base, base)
+        base = top = final = engine.machine.size
         events = []
     return ShardReport(
-        shard=payload["shard"],
+        shard=shard,
         rows=result.rows(),
         machine_size=base,
         policy=result.policy,
@@ -336,9 +336,9 @@ def run_shard(payload: Dict) -> ShardReport:
         scheduler=result.scheduler,
         scheduling_decisions=result.scheduling_decisions,
         fast_path_queries=result.fast_path_queries,
-        capacity_base=capacity[0],
-        capacity_max=capacity[1],
-        capacity_final=capacity[2],
+        capacity_base=base,
+        capacity_max=top,
+        capacity_final=final,
         scale_events=events,
     )
 
@@ -397,16 +397,15 @@ def run_cluster_shards(
     scale_min: Optional[int] = None,
     scale_cooldown: float = DEFAULT_COOLDOWN,
     workers: Optional[int] = None,
-    placement_context: Optional[Dict] = None,
 ) -> ClusterResult:
     """Fan a pre-built arrival stream (or closed-loop population) over
     ``shards`` independent engines and merge the reports.
 
     ``engine_options`` carries the per-shard engine configuration (see
-    :func:`run_shard`).  With ``workers`` > 1 the shards run on a
-    process pool; the output is byte-identical to the serial run
-    because every shard is self-contained and reports are collected in
-    shard order.
+    :func:`_build_engine`), which is also the placement policy's
+    context.  With ``workers`` > 1 the shards run on a process pool;
+    the output is byte-identical to the serial run because every shard
+    is self-contained and reports are collected in shard order.
     """
     if shards < 1:
         raise ValueError("a cluster needs at least one shard")
@@ -435,37 +434,36 @@ def run_cluster_shards(
         engine_options.get("faults"), shards
     )
     migrations = 0
-    payloads: List[Dict] = []
     if open_arrivals is not None:
         per_shard, migrations = split_open_arrivals(
-            open_arrivals, shards, placement_name, placement_context
+            open_arrivals, shards, placement_name, engine_options
         )
-        for shard in range(shards):
-            payloads.append({
-                "shard": shard,
-                "arrivals": per_shard[shard],
-                "engine": _shard_engine_options(
-                    engine_options, shard, fault=shard_faults[shard]
-                ),
-                "autoscale": autoscale_payload,
-            })
+        traffic = [{"arrivals": arrivals} for arrivals in per_shard]
     else:
         counts = split_clients(closed["clients"], shards)
-        for shard in range(shards):
-            payloads.append({
-                "shard": shard,
+        traffic = [
+            {
                 "arrivals": None,
                 "closed": {
                     **closed,
                     "clients": counts[shard],
                     "seed": shard_seed(closed["seed"], shard),
                 },
-                "engine": _shard_engine_options(
-                    engine_options, shard, fault=shard_faults[shard]
-                ),
-                "autoscale": autoscale_payload,
-            })
-        payloads = [p for p in payloads if p["closed"]["clients"] > 0]
+            }
+            for shard in range(shards)
+        ]
+    payloads = [
+        {
+            "shard": shard,
+            **traffic[shard],
+            "engine": _shard_engine_options(
+                engine_options, shard, fault=shard_faults[shard]
+            ),
+            "autoscale": autoscale_payload,
+        }
+        for shard in range(shards)
+        if closed is None or traffic[shard]["closed"]["clients"] > 0
+    ]
 
     reports = _execute(payloads, workers)
     return ClusterResult(
@@ -484,7 +482,9 @@ def _shard_engine_options(
     (from :func:`resolve_shard_faults`) replaces any multi-shard
     ``faults`` value with this shard's own schedule."""
     options = dict(engine_options)
-    options["deadline_seed"] = shard_seed(options["deadline_seed"], shard)
+    options["deadline_seed"] = shard_seed(
+        options.get("deadline_seed", 0), shard
+    )
     options["faults"] = fault
     return options
 

@@ -122,12 +122,7 @@ def _run_workload_job(job: Job, started: float) -> Tuple[Dict, Dict]:
     the row's metrics summarize the workload instead of one query.
     """
     traffic = job.workload or WorkloadTraffic()
-    if traffic.shards > 1:
-        return _run_cluster_job(job, traffic, started)
-    from ..api import run_workload
-
-    result = run_workload(
-        job.shape,
+    options = dict(
         arrivals=traffic.arrivals,
         rate=traffic.rate,
         duration=traffic.duration,
@@ -150,6 +145,11 @@ def _run_workload_job(job: Job, started: float) -> Tuple[Dict, Dict]:
         scheduling_cost=traffic.scheduling_cost,
         fast_path=traffic.fast_path,
     )
+    if traffic.shards > 1:
+        return _run_cluster_job(job, traffic, options, started)
+    from ..api import run_workload
+
+    result = run_workload(job.shape, **options)
     latency = result.latency_stats()
     row = {
         **job.payload(),
@@ -173,13 +173,15 @@ def _run_workload_job(job: Job, started: float) -> Tuple[Dict, Dict]:
 
 
 def _run_cluster_job(
-    job: Job, traffic: WorkloadTraffic, started: float
+    job: Job, traffic: WorkloadTraffic, options: Dict, started: float
 ) -> Tuple[Dict, Dict]:
     """Run a ``shards > 1`` cell through the cluster front-end.
 
-    ``job.processors`` is the *per-shard* machine size.  The job runs
-    its shards serially — the sweep's own process pool is the
-    parallelism budget; nesting pools would oversubscribe it.
+    ``options`` are the cell's :func:`~repro.api.run_workload` keywords
+    (cluster cells carry no fault schedule); ``job.processors`` is the
+    *per-shard* machine size.  The job runs its shards serially — the
+    sweep's own process pool is the parallelism budget; nesting pools
+    would oversubscribe it.
     """
     from ..api import run_cluster
 
@@ -189,26 +191,7 @@ def _run_cluster_job(
         placement=traffic.placement,
         autoscale=traffic.autoscale,
         scale_max=traffic.scale_max,
-        arrivals=traffic.arrivals,
-        rate=traffic.rate,
-        duration=traffic.duration,
-        seed=traffic.seed,
-        machine_size=job.processors,
-        policy=traffic.policy,
-        share=traffic.share,
-        strategy=job.strategy,
-        cardinality=job.cardinality,
-        relations=job.relations,
-        queue_limit=traffic.queue_limit,
-        shed=traffic.shed,
-        config=job.config,
-        cost_model=job.cost_model,
-        skew_theta=job.skew_theta,
-        deadline=job.deadline,
-        scheduler=job.scheduler,
-        pool_size=traffic.pool_size,
-        scheduling_cost=traffic.scheduling_cost,
-        fast_path=traffic.fast_path,
+        **options,
     )
     latency = result.latency_stats()
     row = {

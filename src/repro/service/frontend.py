@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from typing import Dict, IO, Optional
 
+from ..api import RUN_CLUSTER_KEYWORDS, RUN_WORKLOAD_KEYWORDS
 from ..core.shapes import SHAPE_NAMES
 
 #: Backends a service request may ask for.
@@ -30,33 +31,29 @@ _QUERY_KEYS = (
     "skew_theta", "deadline",
 )
 
+#: Facade keywords no request may pass: machine configs and cost
+#: models are not JSON, and the rejection retry delay and the watchdog
+#: are server-side safety settings.
+_SERVER_SIDE = (
+    "config", "cost_model", "rejected_retry_delay", "watchdog_limit",
+)
+
 #: Keys an ``op: "workload"`` request may pass through to
 #: :func:`repro.api.run_workload`.
-_WORKLOAD_KEYS = (
-    "arrivals", "rate", "duration", "seed", "machine_size", "policy",
-    "share", "strategy", "cardinality", "relations", "clients",
-    "think_time", "queries_per_client", "max_concurrent", "queue_limit",
-    "memory_budget_bytes", "skew_theta", "faults", "recovery",
-    "max_retries", "retry_backoff", "deadline", "shed", "cancellations",
-    "scheduler", "pool_size", "scheduling_cost", "tenants", "fast_path",
+_WORKLOAD_KEYS = tuple(
+    key for key in RUN_WORKLOAD_KEYWORDS if key not in _SERVER_SIDE
 )
 
 #: Keys an ``op: "cluster"`` request may pass through to
 #: :func:`repro.api.run_cluster`.  ``faults``/``recovery`` inject
 #: per-shard engine-level fault schedules; ``shard_faults`` through
 #: ``failover`` are the resilience surface (passing any of them runs
-#: the coordinated single-clock cluster).
-_CLUSTER_KEYS = (
-    "trace", "shards", "placement", "autoscale", "scale_max",
-    "scale_min", "scale_cooldown", "workers",
-    "arrivals", "rate", "duration", "seed", "machine_size", "policy",
-    "share", "strategy", "cardinality", "relations", "clients",
-    "think_time", "queries_per_client", "max_concurrent", "queue_limit",
-    "memory_budget_bytes", "skew_theta", "deadline", "shed",
-    "scheduler", "pool_size", "scheduling_cost", "tenants", "fast_path",
-    "faults", "recovery", "max_retries", "retry_backoff",
-    "shard_faults", "retry_budget", "hedge", "breaker", "throttle",
-    "failover",
+#: the coordinated single-clock cluster).  ``workers`` stays
+#: server-side too: a request must not choose how many processes the
+#: server forks (the output is identical at any worker count).
+_CLUSTER_KEYS = tuple(
+    key for key in RUN_CLUSTER_KEYWORDS
+    if key not in _SERVER_SIDE and key != "workers"
 )
 
 #: Keys a stats request may carry (``{"stats": true}`` or
@@ -174,34 +171,11 @@ class QueryService:
                 f"unknown workload parameters {unknown}; accepted keys: "
                 f"{sorted(_WORKLOAD_KEYS + ('shape', 'rows'))}"
             )
-        options = {
-            key: request[key] for key in _WORKLOAD_KEYS if key in request
-        }
-        if "deadline" in options and isinstance(options["deadline"], list):
-            # JSON has no tuples; a two-element list is the (lo, hi)
-            # deadline range form.
-            options["deadline"] = tuple(options["deadline"])
-        if "cancellations" in options:
-            try:
-                options["cancellations"] = [
-                    (float(when), int(index))
-                    for when, index in options["cancellations"]
-                ]
-            except (TypeError, ValueError) as exc:
-                return self._error(
-                    f"bad cancellations (expected [time, query] pairs): {exc}"
-                )
-        if "faults" in options:
-            # Requests are JSON, so fault schedules arrive as the
-            # FaultSchedule.to_payload() dict form.
-            from ..faults import FaultSchedule
+        from ..faults import FaultSchedule
 
-            try:
-                options["faults"] = FaultSchedule.from_payload(
-                    options["faults"]
-                )
-            except (TypeError, KeyError, ValueError) as exc:
-                return self._error(f"bad fault schedule: {exc}")
+        options = _decode_options(
+            request, _WORKLOAD_KEYS, FaultSchedule.from_payload
+        )
         result = run_workload(request.get("shape", "wide_bushy"), **options)
         response = {
             "ok": True,
@@ -271,40 +245,11 @@ class QueryService:
                 f"unknown cluster parameters {unknown}; accepted keys: "
                 f"{sorted(accepted)}"
             )
-        options = {
-            key: request[key] for key in _CLUSTER_KEYS if key in request
-        }
-        if "deadline" in options and isinstance(options["deadline"], list):
-            options["deadline"] = tuple(options["deadline"])
-        if "trace" in options:
-            # Requests are JSON, so traces arrive as the
-            # Trace.to_payload() dict form.
-            from ..cluster import Trace
-
-            try:
-                options["trace"] = Trace.from_payload(options["trace"])
-            except (TypeError, KeyError, ValueError) as exc:
-                return self._error(f"bad trace: {exc}")
-        if "shard_faults" in options:
-            from ..faults import FaultSchedule
-
-            try:
-                options["shard_faults"] = FaultSchedule.from_payload(
-                    options["shard_faults"]
-                )
-            except (TypeError, KeyError, ValueError) as exc:
-                return self._error(f"bad fault schedule: {exc}")
-        if "faults" in options:
-            # Engine-level faults: one schedule for every shard, a
-            # per-shard list (null = fault-free shard), or a
-            # {shard: payload} map — JSON object keys are strings, so
-            # the map form converts them back to shard indices.
-            try:
-                options["faults"] = self._parse_cluster_faults(
-                    options["faults"]
-                )
-            except (TypeError, KeyError, ValueError) as exc:
-                return self._error(f"bad fault schedule: {exc}")
+        # Engine-level faults: one schedule for every shard, a per-shard
+        # list (null = fault-free shard), or a {shard: payload} map.
+        options = _decode_options(
+            request, _CLUSTER_KEYS, self._parse_cluster_faults
+        )
         result = run_cluster(request.get("shape", "wide_bushy"), **options)
         response = {
             "ok": True,
@@ -368,6 +313,8 @@ class QueryService:
 
     @staticmethod
     def _parse_cluster_faults(value):
+        # JSON object keys are strings: the map form converts them back
+        # to shard indices.
         from ..faults import FaultSchedule
 
         if isinstance(value, dict) and "seed" in value:
@@ -398,6 +345,50 @@ class QueryService:
     @staticmethod
     def _error(message: str) -> Dict:
         return {"ok": False, "error": message}
+
+
+def _decode_options(request: Dict, keys, decode_faults) -> Dict:
+    """The facade keywords a workload or cluster request carries,
+    decoded from their JSON forms (``decode_faults`` reads the
+    ``faults`` payload).  A malformed payload raises
+    :class:`ValueError` naming it."""
+    options = {key: request[key] for key in keys if key in request}
+    if isinstance(options.get("deadline"), list):
+        # JSON has no tuples; a two-element list is the (lo, hi)
+        # deadline range form.
+        options["deadline"] = tuple(options["deadline"])
+    if "cancellations" in options:
+        try:
+            options["cancellations"] = [
+                (float(when), int(index))
+                for when, index in options["cancellations"]
+            ]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"bad cancellations (expected [time, query] pairs): {exc}"
+            ) from None
+    # Traces and fault schedules arrive as their to_payload() dicts.
+    if "trace" in options:
+        from ..cluster import Trace
+
+        _decode(options, "trace", Trace.from_payload, "bad trace")
+    if "shard_faults" in options:
+        from ..faults import FaultSchedule
+
+        _decode(
+            options, "shard_faults", FaultSchedule.from_payload,
+            "bad fault schedule",
+        )
+    if "faults" in options:
+        _decode(options, "faults", decode_faults, "bad fault schedule")
+    return options
+
+
+def _decode(options: Dict, key: str, decode, label: str) -> None:
+    try:
+        options[key] = decode(options[key])
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ValueError(f"{label}: {exc}") from None
 
 
 def serve(

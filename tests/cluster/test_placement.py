@@ -123,3 +123,31 @@ class TestMakePlacement:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="zone_aware"):
             make_placement("zone_aware")
+
+
+class TestEstimateServiceTime:
+    """The one memoized forecast behind least_loaded placement, the
+    coordinated router and the predictive autoscaler."""
+
+    def test_cached_on_the_fields_the_forecast_reads(self):
+        from dataclasses import replace
+
+        from repro.cluster.placement import (
+            estimate_service_time,
+            predict_service_time,
+        )
+
+        cache = {}
+        spec = QuerySpec("wide_bushy", 500, "SE")
+        estimate = estimate_service_time(cache, spec, 12)
+        assert estimate == predict_service_time(spec, 12)
+        tagged = replace(spec, tenant="gold", deadline=5.0)
+        assert estimate_service_time(cache, tagged, 12) == estimate
+        assert len(cache) == 1
+
+    def test_infeasible_spec_costs_the_fallback(self):
+        from repro.cluster.placement import estimate_service_time
+
+        # FP needs one processor per join (9); four cannot run it.
+        spec = QuerySpec("wide_bushy", 500, "FP")
+        assert estimate_service_time({}, spec, 4) == 1.0

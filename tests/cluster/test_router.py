@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from repro import api
+from repro.workload.metrics import percentile
 from repro.cluster import (
     SHARD_SEED_STRIDE,
     Trace,
@@ -148,13 +149,112 @@ class TestAggregation:
         ]
         assert min(p for p in per_shard if p is not None) <= merged["p50"]
 
+
     def test_trace_and_closed_are_exclusive(self, fast_config):
+        """A trace is an open-loop stream; both cluster paths (plain,
+        and coordinated by ``hedge`` or ``retry_budget``) refuse to
+        serve it to closed-loop clients."""
         trace = synthesize_trace("wide_bushy", rate=0.5, duration=10.0, seed=1)
-        with pytest.raises(ValueError):
-            api.run_cluster(
-                trace=trace, arrivals="closed", clients=2,
-                config=fast_config,
-            )
+        for resilience in ({}, {"hedge": True}, {"retry_budget": 1}):
+            with pytest.raises(ValueError, match="open-loop stream"):
+                api.run_cluster(
+                    trace=trace, arrivals="closed", clients=2, shards=2,
+                    machine_size=12, share=12, config=fast_config,
+                    **resilience,
+                )
+
+    @pytest.mark.parametrize(
+        "resilience", [{}, {"retry_budget": 1}],
+        ids=["pre_routed", "coordinated"],
+    )
+    def test_counts_and_latency_equal_per_shard_sums(
+        self, fast_config, resilience
+    ):
+        """One row-derived accounting path on both cluster paths; on a
+        pre-routed run the merged counts and latency stats are exactly
+        the per-shard ones, summed in shard order."""
+        result = self.run(
+            fast_config, rate=1.5, queue_limit=1, shed="drop_newest",
+            **resilience,
+        )
+        rows = result.rows()
+        latencies = [
+            row["latency"] for row in rows if row["completed"] is not None
+        ]
+        assert result.latency_stats() == {
+            "mean": sum(latencies) / len(latencies),
+            "p50": percentile(latencies, 50.0),
+            "p95": percentile(latencies, 95.0),
+            "p99": percentile(latencies, 99.0),
+        }
+        assert result.submitted_count() == len(rows)
+        assert result.rejected_count() == sum(row["rejected"] for row in rows)
+        assert result.failed_count() == sum(row["failed"] for row in rows)
+        if resilience:
+            return
+        reports = result.shards
+        assert len(reports) == 3
+        assert result.rejected_count() > 0
+        assert result.submitted_count() == sum(len(r.rows) for r in reports)
+        assert result.completed_count() == sum(
+            r.completed_count() for r in reports
+        )
+        assert result.useful_count() == sum(r.useful_count() for r in reports)
+        per_shard = [lat for r in reports for lat in r.latencies()]
+        assert per_shard == latencies
+        shed = {}
+        for report in reports:
+            for row in report.rows:
+                if row["shed"] is not None:
+                    shed[row["shed"]] = shed.get(row["shed"], 0) + 1
+        assert result.shed_counts() == shed
+
+
+class TestEngineKnobIdentity:
+    """Every shared engine knob reaches the shard's engine: a 1-shard
+    static cluster with the knobs set away from their defaults still
+    writes run_workload's bytes.  Each knob below changes the rows on
+    its own, so a knob dropped on either path fails the comparison."""
+
+    def test_knob_rich_single_shard_matches_run_workload(
+        self, fast_config, tmp_path
+    ):
+        from repro.faults import FaultSchedule
+        from repro.workload import QueryMix, QuerySpec
+
+        mix = QueryMix((
+            QuerySpec("wide_bushy", 400, "SE"),
+            QuerySpec("left_linear", 1_000, "SE"),
+        ))
+        knobs = dict(
+            duration=60.0, seed=5, machine_size=12, policy="exclusive",
+            share=3, config=fast_config,
+            max_concurrent=2, queue_limit=4,
+            memory_budget_bytes=6 * 1024 * 1024,
+            scheduler="wfq", pool_size=1, scheduling_cost=0.05,
+            shed="drop_oldest", deadline=(20.0, 40.0),
+            tenants=[
+                {"name": "gold", "weight": 2.0, "rate": 0.15},
+                {"name": "bronze", "rate": 0.15},
+            ],
+            faults=FaultSchedule.generate(
+                machine_size=12, horizon=60.0, seed=5, crash_rate=0.08,
+                repair_time=10.0,
+            ),
+            recovery="restart",
+        )
+        single = api.run_workload(mix, **knobs)
+        cluster = api.run_cluster(mix, shards=1, **knobs)
+        single.write_jsonl(tmp_path / "single.jsonl")
+        cluster.write_jsonl(tmp_path / "cluster.jsonl")
+        assert (tmp_path / "single.jsonl").read_bytes() == (
+            tmp_path / "cluster.jsonl"
+        ).read_bytes()
+        rows = single.rows()
+        assert any(row["shed"] for row in rows)
+        assert any(row["aborts"] for row in rows)
+        assert any(row["completed"] is not None for row in rows)
+        assert {row.get("tenant") for row in rows} == {"gold", "bronze"}
 
 
 class TestShardSeeds:

@@ -326,6 +326,48 @@ class TestClusterOp:
         assert "cancellations" in response["error"]
 
 
+    def test_workers_refused(self):
+        """A request must not choose how many processes the server
+        forks (the output is identical at any worker count anyway)."""
+        response = SERVICE.handle(dict(self.REQUEST, workers=2))
+        assert not response["ok"]
+        assert "unknown cluster parameters ['workers']" in response["error"]
+
+
+#: Facade keywords no service request may pass: machine configs and
+#: cost models are not JSON, and the retry delay and the watchdog are
+#: server-side safety settings.
+_SERVER_SIDE = {
+    "config", "cost_model", "rejected_retry_delay", "watchdog_limit",
+}
+
+
+def _accepted_keys(request):
+    """The accepted-key list an unknown-key error names."""
+    import ast
+
+    response = SERVICE.handle(dict(request, not_a_key=1))
+    assert not response["ok"]
+    return ast.literal_eval(response["error"].split("accepted keys: ")[1])
+
+
+class TestAcceptedKeys:
+    def test_workload_accepts_the_facade_keywords(self):
+        from repro.api import RUN_WORKLOAD_KEYWORDS
+
+        assert _accepted_keys({"op": "workload"}) == sorted(
+            set(RUN_WORKLOAD_KEYWORDS) - _SERVER_SIDE | {"shape", "rows"}
+        )
+
+    def test_cluster_accepts_the_facade_keywords_but_workers(self):
+        from repro.api import RUN_CLUSTER_KEYWORDS
+
+        assert _accepted_keys({"op": "cluster"}) == sorted(
+            set(RUN_CLUSTER_KEYWORDS) - _SERVER_SIDE - {"workers"}
+            | {"shape", "rows"}
+        )
+
+
 class TestClusterResilience:
     """The resilience surface of the cluster op: fault payloads in,
     per-shard abort/retry/hedge telemetry out."""

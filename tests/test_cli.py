@@ -451,3 +451,118 @@ class TestDefaultArtifactLocation:
         assert loose == []
         results = tmp_path / "benchmarks" / "results"
         assert (results / "chaos_campaign.json").exists()
+
+
+def _flag_surface(command):
+    """(option strings, dest, default, type, choices, action) of every
+    flag of one subcommand — the surface a refactor must not move."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        (
+            tuple(action.option_strings),
+            action.dest,
+            action.default,
+            action.type.__name__ if action.type else None,
+            tuple(action.choices) if action.choices else None,
+            type(action).__name__,
+        )
+        for action in subparsers.choices[command]._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+
+
+_SHAPES = (
+    "left_linear", "left_bushy", "wide_bushy", "right_bushy", "right_linear",
+)
+
+#: Flags the workload and cluster subcommands share, captured from the
+#: parser before the two declarations were merged.
+_SHARED_FLAGS = {
+    (("--arrivals",), "arrivals", "poisson", None,
+     ("poisson", "fixed", "closed"), "_StoreAction"),
+    (("--cardinality",), "cardinality", 5000, "int", None, "_StoreAction"),
+    (("--clients",), "clients", 4, "int", None, "_StoreAction"),
+    (("--crash-rate",), "crash_rate", 0.0, "float", None, "_StoreAction"),
+    (("--deadline",), "deadline", None, "float", None, "_StoreAction"),
+    (("--duration",), "duration", 60.0, "float", None, "_StoreAction"),
+    (("--jsonl", "--out"), "jsonl", None, None, None, "_StoreAction"),
+    (("--machine-size",), "machine_size", 40, "int", None, "_StoreAction"),
+    (("--no-fast-path",), "no_fast_path", False, None, None,
+     "_StoreTrueAction"),
+    (("--paper-mix",), "paper_mix", False, None, None, "_StoreTrueAction"),
+    (("--policy",), "policy", "exclusive", None,
+     ("exclusive", "round_robin", "guideline"), "_StoreAction"),
+    (("--queries-per-client",), "queries_per_client", None, "int", None,
+     "_StoreAction"),
+    (("--queue-limit",), "queue_limit", None, "int", None, "_StoreAction"),
+    (("--quiet",), "quiet", False, None, None, "_StoreTrueAction"),
+    (("--rate",), "rate", 1.0, "float", None, "_StoreAction"),
+    (("--recovery",), "recovery", "fail", None,
+     ("fail", "restart", "reassign"), "_StoreAction"),
+    (("--relations",), "relations", 10, "int", None, "_StoreAction"),
+    (("--repair-time",), "repair_time", 60.0, "float", None, "_StoreAction"),
+    (("--scheduler",), "scheduler", None, None,
+     ("fifo", "edf", "sjf", "priority", "wfq"), "_StoreAction"),
+    (("--seed",), "seed", 0, "int", None, "_StoreAction"),
+    (("--shape",), "shape", "wide_bushy", None, _SHAPES, "_StoreAction"),
+    (("--share",), "share", None, "int", None, "_StoreAction"),
+    (("--shed",), "shed", None, None,
+     ("drop_newest", "drop_oldest", "deadline_aware"), "_StoreAction"),
+    (("--skew",), "skew", 0.0, "float", None, "_StoreAction"),
+    (("--strategy",), "strategy", "FP", None,
+     ("SP", "SE", "RD", "FP", "auto"), "_StoreAction"),
+    (("--tenants",), "tenants", None, None, None, "_StoreAction"),
+    (("--think",), "think", 0.0, "float", None, "_StoreAction"),
+}
+
+
+class TestFlagSurface:
+    def test_workload_flags(self):
+        assert _flag_surface("workload") == _SHARED_FLAGS | {
+            (("--max-concurrent",), "max_concurrent", None, "int", None,
+             "_StoreAction"),
+            (("--memory-budget-mb",), "memory_budget_mb", None, "float",
+             None, "_StoreAction"),
+            (("--pool-size",), "pool_size", None, "int", None,
+             "_StoreAction"),
+            (("--scheduling-cost",), "scheduling_cost", 0.0, "float", None,
+             "_StoreAction"),
+        }
+
+    def test_cluster_flags(self):
+        assert _flag_surface("cluster") == _SHARED_FLAGS | {
+            (("--autoscale",), "autoscale", "static", None,
+             ("static", "reactive", "predictive"), "_StoreAction"),
+            (("--breaker",), "breaker", False, None, None,
+             "_StoreTrueAction"),
+            (("--hedge",), "hedge", None, "float", None, "_StoreAction"),
+            (("--no-failover",), "no_failover", False, None, None,
+             "_StoreTrueAction"),
+            (("--placement",), "placement", "hash", None,
+             ("hash", "least_loaded", "round_robin"), "_StoreAction"),
+            (("--record",), "record", None, None, None, "_StoreAction"),
+            (("--retry-budget",), "retry_budget", None, "int", None,
+             "_StoreAction"),
+            (("--scale-cooldown",), "scale_cooldown", None, "float", None,
+             "_StoreAction"),
+            (("--scale-max",), "scale_max", None, "int", None,
+             "_StoreAction"),
+            (("--scale-min",), "scale_min", None, "int", None,
+             "_StoreAction"),
+            (("--shard-crash-rate",), "shard_crash_rate", 0.0, "float",
+             None, "_StoreAction"),
+            (("--shard-repair-time",), "shard_repair_time", 30.0, "float",
+             None, "_StoreAction"),
+            (("--shards",), "shards", 2, "int", None, "_StoreAction"),
+            (("--throttle",), "throttle", False, None, None,
+             "_StoreTrueAction"),
+            (("--trace",), "trace", None, None, None, "_StoreAction"),
+            (("--workers",), "workers", None, "int", None, "_StoreAction"),
+        }
