@@ -16,6 +16,10 @@ only move them deliberately:
   second ratio is the turbo-v2 workload headline (gated ≥ a floor).
 * **sweep wall-clock** — the parallel runner over a small wide_bushy
   grid, end to end (planning + simulation + collection).
+* **classic events/sec** — open-loop SP/SE/RD/FP traffic on one
+  shared machine with the fast path off, so every event runs through
+  the per-event loop that contended workloads and coordinated clusters
+  spin in; gated ≥ a floor over the pre-fusion loop's number.
 
 Raw events/sec is machine-dependent, so every run also measures a
 pure-Python **calibration** proxy and the regression gate compares
@@ -25,8 +29,9 @@ machine that started the trajectory); ``EXPECTED_SPEEDUP`` pins what
 the current code achieves, both in aggregate and — so an FP-only
 regression cannot hide behind SP/SE gains — per strategy.  ``--check``
 fails when the normalized aggregate or any per-strategy number falls
-more than 20% below expectation, or the workload replay ratio drops
-under its floor.
+more than 20% below expectation, the workload replay ratio drops
+under its floor, or the classic loop's normalized events/sec falls
+more than 20% below its expected speedup over ``CLASSIC_BASELINE``.
 
 Usage::
 
@@ -85,6 +90,19 @@ EXPECTED_STRATEGY_SPEEDUP = {
 #: repeat-heavy workload replay trace (the ISSUE-8 acceptance bar is
 #: 3x on the full trace; smoke traces are shorter and noisier).
 EXPECTED_REPLAY_SPEEDUP = {"full": 3.0, "smoke": 2.0}
+
+#: Classic-loop events/sec divided by calibration ops/sec, measured on
+#: the pre-fusion per-event path (one Python call per hook: kick,
+#: chunk choice, take, output count, acquire, receive per port): the
+#: median of three runs alternating with the fused path on one
+#: machine (single runs read 0.0145-0.0178 smoke, 0.0129-0.0177 full).
+CLASSIC_BASELINE = {"full": 0.0176, "smoke": 0.0158}
+
+#: Normalized classic-loop speedup over CLASSIC_BASELINE the fused path
+#: delivers (measured 1.6-2.1x in the same alternation; raw seconds
+#: 1.75x).  The --check floor sits 20% below it, above every
+#: pre-fusion run (0.78-1.07x), so losing the fusion trips it.
+EXPECTED_CLASSIC_SPEEDUP = {"full": 1.7, "smoke": 1.7}
 
 #: >20% normalized regression fails the gate.
 REGRESSION_TOLERANCE = 0.20
@@ -236,6 +254,43 @@ def measure_workload_replay(cardinality: int, queries: int) -> dict:
     }
 
 
+def measure_classic(queries: int, repeats: int, calibration: float,
+                    mode: str) -> dict:
+    """Events/sec of the classic event loop, best of ``repeats``.
+
+    The first ``queries`` specs of the 1K paper mix (every strategy
+    of each shape in turn) arrive two simulated seconds apart on one
+    40-processor machine under the guideline policy, with the fast
+    path off: queries overlap and every chunk, batch and handshake is
+    one heap event.  The time covers the whole engine run (admission
+    and planning included), which is what a shared-clock workload pays
+    per event."""
+    from repro.workload import QueryMix, WorkloadEngine, make_policy
+
+    specs = QueryMix.paper(cardinalities=(1_000,)).specs[:queries]
+    pairs = [(2.0 * index, spec) for index, spec in enumerate(specs)]
+    best = float("inf")
+    events = 0
+    for _ in range(repeats):
+        engine = WorkloadEngine(40, make_policy("guideline"), fast_path=False)
+        gc.disable()
+        t0 = time.perf_counter()
+        engine.run_open(pairs)
+        elapsed = time.perf_counter() - t0
+        gc.enable()
+        best = min(best, elapsed)
+        events = engine.machine.clock.events_dispatched
+    normalized = events / best / calibration
+    return {
+        "queries": len(pairs),
+        "events": events,
+        "seconds": round(best, 6),
+        "events_per_sec": round(events / best),
+        "normalized_events_per_op": round(normalized, 6),
+        "speedup_vs_pre_fusion": round(normalized / CLASSIC_BASELINE[mode], 2),
+    }
+
+
 def measure_sweep(cardinality: int, processors: tuple) -> dict:
     """Wall-clock of the parallel runner on a wide_bushy grid."""
     from repro.runner import SweepSpec, run_sweep
@@ -311,11 +366,12 @@ def main(argv=None) -> int:
     sweep_processors = (20, 40) if args.smoke else (10, 20, 40, 80)
 
     gc.collect()
+    calibration = calibrate()
     report = {
         "schema": 2,
         "mode": mode,
         "baseline": PRE_PR_BASELINE,
-        "calibration_ops_per_sec": round(calibrate()),
+        "calibration_ops_per_sec": round(calibration),
         "events": measure_events(cardinality, repeats),
         "workload": measure_knee(
             cardinality=500 if args.smoke else 1_000,
@@ -326,6 +382,12 @@ def main(argv=None) -> int:
             queries=8 if args.smoke else 24,
         ),
         "sweep": measure_sweep(cardinality, sweep_processors),
+        "classic": measure_classic(
+            queries=8 if args.smoke else 20,
+            repeats=repeats,
+            calibration=calibration,
+            mode=mode,
+        ),
     }
     speedup = normalized_speedup(report)
     per_strategy = strategy_speedups(report)
@@ -358,11 +420,20 @@ def main(argv=None) -> int:
             f"workload replay speedup {replay:.2f}x below the "
             f"{replay_floor:.2f}x floor"
         )
+    classic = report["classic"]["speedup_vs_pre_fusion"]
+    classic_floor = EXPECTED_CLASSIC_SPEEDUP[mode] * (1.0 - REGRESSION_TOLERANCE)
+    if classic < classic_floor:
+        failures.append(
+            f"classic-loop speedup {classic:.2f}x below the "
+            f"{classic_floor:.2f}x floor "
+            f"({EXPECTED_CLASSIC_SPEEDUP[mode]}x expected)"
+        )
     report["gate"] = {
         "expected_speedup": expected,
         "floor": round(floor, 2),
         "strategy_floors": strategy_floors,
         "replay_floor": replay_floor,
+        "classic_floor": round(classic_floor, 2),
         "failures": failures,
         "passed": not failures,
     }

@@ -159,13 +159,16 @@ def peak_memory_per_processor(
 
     # Hash tables: sum over mutually concurrent tasks per processor.
     tables = {tm.index: tm for tm in task_memory(schedule, catalog, model, cost_model)}
+    before = schedule.happens_before()
     for p in peak:
         tasks_here = [t for t in schedule.tasks if p in t.processors]
         concurrent_peak = 0.0
         for task in tasks_here:
             demand = tables[task.index].bytes_per_processor
             for other in tasks_here:
-                if other.index != task.index and schedule.may_overlap(task, other):
+                if other.index != task.index and schedule.may_overlap(
+                    task, other, before
+                ):
                     demand += tables[other.index].bytes_per_processor
             concurrent_peak = max(concurrent_peak, demand)
         peak[p] = base_bytes[p] + stored_bytes[p] + concurrent_peak

@@ -24,7 +24,7 @@ Input modes (how a join operand reaches the task's processes):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .trees import Join, Leaf, Node, joins_postorder
 
@@ -187,9 +187,19 @@ class ParallelSchedule:
             closed[task.index] = seen
         return closed
 
-    def may_overlap(self, a: JoinTask, b: JoinTask) -> bool:
-        """Whether two tasks can be active simultaneously."""
-        before = self.happens_before()
+    def may_overlap(
+        self,
+        a: JoinTask,
+        b: JoinTask,
+        before: Optional[Dict[int, Set[int]]] = None,
+    ) -> bool:
+        """Whether two tasks can be active simultaneously.
+
+        ``before`` is this schedule's :meth:`happens_before` closure; a
+        caller testing many pairs computes it once and passes it in
+        (omitted, it is recomputed for this one pair)."""
+        if before is None:
+            before = self.happens_before()
         return a.index not in before[b.index] and b.index not in before[a.index]
 
     # -- validation -------------------------------------------------------
@@ -248,7 +258,9 @@ class ParallelSchedule:
                 raise ScheduleError(f"ordering cycle through task {idx}")
         for i, a in enumerate(self.tasks):
             for b in self.tasks[i + 1:]:
-                if self.may_overlap(a, b) and set(a.processors) & set(b.processors):
+                if self.may_overlap(a, b, before) and set(a.processors) & set(
+                    b.processors
+                ):
                     raise ScheduleError(
                         f"tasks {a.index} and {b.index} may overlap but share "
                         f"processors {sorted(set(a.processors) & set(b.processors))}"

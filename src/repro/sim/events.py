@@ -73,7 +73,12 @@ class SimulationClock:
         self.watchdog: Optional["Watchdog"] = None
 
     def at(self, time: float, fn: Callable, *args: Any) -> None:
-        """Schedule ``fn(*args)`` at absolute ``time`` (≥ now)."""
+        """Schedule ``fn(*args)`` at absolute ``time`` (≥ now).
+
+        The per-chunk and per-batch paths of :mod:`repro.sim.process`
+        and :mod:`repro.sim.streams` push entries of this exact shape
+        onto ``_queue`` themselves, where the time provably is not in
+        the past."""
         if time < self.now - 1e-12:
             raise ValueError(f"cannot schedule into the past: {time} < {self.now}")
         heapq.heappush(self._queue, (time, self._seq, None, fn, args))
@@ -125,18 +130,20 @@ class SimulationClock:
                     )
             self.events_dispatched += dispatched
             return self.now
+        # Every shared-clock workload and cluster spins here (their
+        # watchdog is on), so loop state is kept in locals too.
+        observe = None if self.watchdog is None else self.watchdog.observe
+        threshold = self.COMPACT_THRESHOLD
         while queue:
-            entry = queue[0]
-            if until is not None and entry[0] > until:
+            if until is not None and queue[0][0] > until:
                 break
-            pop(queue)
-            time, _seq, handle, fn, args = entry
+            time, _seq, handle, fn, args = pop(queue)
             if handle is not None and handle.cancelled:
                 self._dead -= 1
                 continue  # skipped: no dispatch, no count, no time advance
             self.now = time
-            if self.watchdog is not None:
-                self.watchdog.observe(time, fn, args)
+            if observe is not None:
+                observe(time, fn, args)
             fn(*args)
             dispatched += 1
             if dispatched > max_events:
@@ -145,7 +152,7 @@ class SimulationClock:
                     "likely a wiring bug (cyclic deliveries)"
                 )
             dead = self._dead
-            if dead > self.COMPACT_THRESHOLD and dead * 2 > len(queue):
+            if dead > threshold and dead * 2 > len(queue):
                 self.compact()
                 queue = self._queue
         self.events_dispatched += dispatched

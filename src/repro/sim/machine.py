@@ -179,6 +179,8 @@ class Processor:
         Work requested while the CPU is busy queues behind it (the
         operation process model never interleaves chunks).  Adjacent
         intervals with the same label are merged to keep traces small.
+        The join processes' ``kick`` methods inline this body for their
+        CPU chunks; a change here must be made there too.
         """
         if duration < 0:
             raise ValueError("negative duration")

@@ -23,24 +23,39 @@ sides symmetrically and produces matches proportional to the product
 of arrived fractions — the source of the bushy-pipeline ramp-up delay
 of Section 2.3.3.
 
-These state machines are the *reference* semantics.  Owned,
-fault-free, deadline-free runs are normally executed by the analytic
-engine in :mod:`repro.sim.turbo`, which must reproduce every
-observable of this module bit for bit (chunk boundaries, batch
-emission times, tie-breaks between arrivals and completions, interval
-coalescing).  Any behavioural change here therefore needs a matching
-change there — the golden-identity and turbo-equivalence tests pin
-the pairing.  Turbo additionally *caches* replayable timing profiles
-keyed on the inputs these state machines read (algorithm, work scale,
-port modes and coefficients, chunk policy), so any change to the
-chunking or emission policy here must also bump
+These state machines are the *reference* semantics, and each
+subclass's :meth:`~OperationProcess.kick` is where they live: one
+method that chooses the next chunk, takes it from its port, counts
+its output, occupies the CPU and pushes the completion onto the
+clock's heap, with :meth:`Processor.acquire` and
+:meth:`SimulationClock.at` inlined so that a contended or coordinated
+run pays one or two Python calls per event.  The inlined copies must
+stay operation-for-operation equal to the originals (same float
+expressions, same event order, same guards); the classic-path pins
+(``tests/sim/test_classic_pins.py``) check event counts, every busy
+interval and link totals against the pre-fusion code.
+
+Owned, fault-free, deadline-free runs are normally executed by the
+analytic engine in :mod:`repro.sim.turbo`, which mirrors these
+``kick`` methods and must reproduce every observable of this module
+bit for bit (chunk boundaries, batch emission times, tie-breaks
+between arrivals and completions, interval coalescing).  Any
+behavioural change here therefore needs a matching change there — the
+golden-identity and turbo-equivalence tests pin the pairing.  Turbo
+additionally *caches* replayable timing profiles keyed on the inputs
+these state machines read (algorithm, work scale, port modes and
+coefficients, chunk policy), so any change to the chunking or
+emission policy here must also bump
 :data:`repro.sim.turbo.STRUCTURE_VERSION` — otherwise a stale cached
 profile from before the change could replay the old semantics.
+Inlining helpers into ``kick`` executes the same policy, so it is not
+such a change and leaves the version alone.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from heapq import heappush
+from typing import Callable, Optional
 
 from .events import SimulationClock
 from .machine import MachineConfig, Processor
@@ -127,6 +142,7 @@ class OperationProcess:
             return
         self.started = True
         self.start_time = self.clock.now
+        self._prepare()
         # Hold the CPU through startup: injecting a base port fires
         # kick() re-entrantly, and work must not begin before both
         # ports are populated and the handshakes are paid.
@@ -162,24 +178,23 @@ class OperationProcess:
 
     # -- work loop ------------------------------------------------------
 
+    def _prepare(self) -> None:
+        """Compute, once, the constants :meth:`kick` reads: fragment
+        sizes and the batch count never change after build.  Called at
+        start, so processes the analytic engine completes never pay
+        for it."""
+        raise NotImplementedError
+
     def kick(self) -> None:
-        """Try to make progress; called on every arrival and completion."""
-        if not self.started or self.cpu_busy or self.done or self.aborted:
-            return
-        selection = self._select_chunk()
-        if selection is None:
-            self._maybe_finish()
-            return
-        port, chunk = selection
-        out = self._output_for_chunk(port, chunk)
-        duration = (
-            (chunk * port.coefficient + out * self.result_coeff)
-            * self.config.tuple_unit
-            * self.work_scale
-        )
-        self.cpu_busy = True
-        end = self.processor.acquire(self.clock.now, duration, self.name)
-        self.clock.at(end, self._chunk_done, port, chunk, out)
+        """Try to make progress; called on every arrival and completion.
+
+        Each subclass implements it in one piece, with no helper calls
+        on the common path: pick the next chunk, take it from its port,
+        count its output, occupy the CPU (:meth:`Processor.acquire`,
+        inlined) and push the completion onto the clock's heap
+        (:meth:`SimulationClock.at`, inlined).
+        """
+        raise NotImplementedError
 
     def _chunk_done(self, port: Port, chunk: float, out: float) -> None:
         if self.aborted:
@@ -197,8 +212,14 @@ class OperationProcess:
     def _maybe_finish(self) -> None:
         if self.done or self.cpu_busy:
             return
-        if not (self.left.drained and self.right.drained):
-            return
+        # Port.drained for both ports, inlined: this runs whenever a
+        # kick finds nothing to take.
+        for port in (self.left, self.right):
+            if port.pending > EPSILON or (
+                port.mode != "base"
+                and port.eos_received < port.expected_producers
+            ):
+                return
         if not self.closing:
             self.closing = True
             # Send setup for a stored (materialized) output: the
@@ -220,16 +241,6 @@ class OperationProcess:
             self.output.deliver_eos(self.clock)
         self.on_done(self)
 
-    # -- algorithm hooks ---------------------------------------------------
-
-    def _select_chunk(self) -> Optional[Tuple[Port, float]]:
-        """Pick the next (port, tuple count) to process, or ``None``."""
-        raise NotImplementedError
-
-    def _output_for_chunk(self, port: Port, chunk: float) -> float:
-        """Result tuples produced by processing ``chunk`` from ``port``."""
-        raise NotImplementedError
-
 
 class SimpleHashJoinProcess(OperationProcess):
     """Two-phase build/probe join: probing blocked until build drained."""
@@ -243,19 +254,78 @@ class SimpleHashJoinProcess(OperationProcess):
         self.build = self.left if build_side == "left" else self.right
         self.probe = self.right if build_side == "left" else self.left
 
-    def _select_chunk(self) -> Optional[Tuple[Port, float]]:
-        if not self.build.drained:
-            chunk = self.build.take(self.build.chunk_cap(self.config.batches))
-            return (self.build, chunk) if chunk > 0 else None
-        chunk = self.probe.take(self.probe.chunk_cap(self.config.batches))
-        return (self.probe, chunk) if chunk > 0 else None
+    def _prepare(self) -> None:
+        batches = self.config.batches
+        self._build_cap = self.build.chunk_cap(batches)
+        self._probe_cap = self.probe.chunk_cap(batches)
 
-    def _output_for_chunk(self, port: Port, chunk: float) -> float:
-        if port is self.build or self.probe.local_total <= 0:
-            return 0.0
-        # Probing a complete hash table: results proportional to probe
-        # progress (exactly the simple hash-join's output timing).
-        return chunk * self.result_local / self.probe.local_total
+    def kick(self) -> None:
+        if not self.started or self.cpu_busy or self.done or self.aborted:
+            return
+        build = self.build
+        # ``not build.drained``, inlined: the build stream is still open
+        # or has tuples left.
+        if build.pending > EPSILON or (
+            build.mode != "base"
+            and build.eos_received < build.expected_producers
+        ):
+            port, cap = build, self._build_cap
+        else:
+            port, cap = self.probe, self._probe_cap
+        pending = port.pending
+        chunk = cap if cap < pending else pending  # Port.take
+        if chunk <= 0:
+            self._maybe_finish()
+            return
+        rest = pending - chunk
+        port.pending = 0.0 if rest < EPSILON else rest
+        probe_total = self.probe.local_total
+        if port is build or probe_total <= 0:
+            out = 0.0
+        else:
+            # Probing a complete hash table: results proportional to
+            # probe progress (exactly the simple hash-join's output
+            # timing).
+            out = chunk * self.result_local / probe_total
+        duration = (
+            (chunk * port.coefficient + out * self.result_coeff)
+            * self.config.tuple_unit
+            * self.work_scale
+        )
+        # Processor.acquire and SimulationClock.at, inlined.  The
+        # completion cannot lie in the past: start >= now, duration
+        # >= 0, and stall factors are positive.
+        if duration < 0:
+            raise ValueError("negative duration")
+        self.cpu_busy = True
+        clock = self.clock
+        processor = self.processor
+        now = clock.now
+        busy = processor.busy_until
+        start = busy if busy > now else now
+        if duration > 0:
+            if processor.stalls:
+                duration *= processor.stall_factor(start)
+            end = start + duration
+            processor.busy_until = end
+            intervals = processor.intervals
+            name = self.name
+            if intervals:
+                last = intervals[-1]
+                if last[2] == name and -1e-12 < last[1] - start < 1e-12:
+                    intervals[-1] = (last[0], end, name)
+                else:
+                    intervals.append((start, end, name))
+            else:
+                intervals.append((start, end, name))
+        else:
+            end = start + duration
+            processor.busy_until = end
+        heappush(
+            clock._queue,
+            (end, clock._seq, None, self._chunk_done, (port, chunk, out)),
+        )
+        clock._seq += 1
 
 
 class PipeliningHashJoinProcess(OperationProcess):
@@ -263,27 +333,87 @@ class PipeliningHashJoinProcess(OperationProcess):
 
     algorithm = "pipelining"
 
-    def _select_chunk(self) -> Optional[Tuple[Port, float]]:
-        candidates = [p for p in (self.left, self.right) if p.pending > EPSILON]
-        if not candidates:
-            return None
-        # Favour the operand that is furthest behind, mimicking the
-        # symmetric algorithm's fair consumption of both inputs.
-        def progress(port: Port) -> float:
-            if port.local_total <= 0:
-                return 1.0
-            return port.processed / port.local_total
-
-        port = min(candidates, key=progress)
-        return (port, port.take(port.chunk_cap(self.config.batches)))
-
-    def _output_for_chunk(self, port: Port, chunk: float) -> float:
-        other = self.right if port is self.left else self.left
-        if self.left.local_total <= 0 or self.right.local_total <= 0:
-            return 0.0
+    def _prepare(self) -> None:
+        batches = self.config.batches
+        self._left_cap = self.left.chunk_cap(batches)
+        self._right_cap = self.right.chunk_cap(batches)
+        left_total = self.left.local_total
+        right_total = self.right.local_total
         # A new tuple matches the part of the other operand's hash
         # table built so far; every match is produced exactly once, by
         # whichever side is processed later.  Summed over the run this
-        # yields exactly result_local tuples.
-        density = self.result_local / (self.left.local_total * self.right.local_total)
-        return chunk * other.processed * density
+        # yields exactly result_local tuples.  An empty operand makes
+        # the density 0.0, so every chunk's output is exactly 0.0.
+        if left_total <= 0 or right_total <= 0:
+            self._density = 0.0
+        else:
+            self._density = self.result_local / (left_total * right_total)
+
+    def kick(self) -> None:
+        if not self.started or self.cpu_busy or self.done or self.aborted:
+            return
+        left = self.left
+        right = self.right
+        if left.pending > EPSILON:
+            if right.pending > EPSILON:
+                # Favour the operand that is furthest behind, mimicking
+                # the symmetric algorithm's fair consumption of both
+                # inputs; a tie goes to the left.
+                total = left.local_total
+                left_progress = left.processed / total if total > 0 else 1.0
+                total = right.local_total
+                right_progress = right.processed / total if total > 0 else 1.0
+                if right_progress < left_progress:
+                    port, cap, other = right, self._right_cap, left
+                else:
+                    port, cap, other = left, self._left_cap, right
+            else:
+                port, cap, other = left, self._left_cap, right
+        elif right.pending > EPSILON:
+            port, cap, other = right, self._right_cap, left
+        else:
+            self._maybe_finish()
+            return
+        pending = port.pending
+        chunk = cap if cap < pending else pending  # Port.take
+        rest = pending - chunk
+        port.pending = 0.0 if rest < EPSILON else rest
+        out = chunk * other.processed * self._density
+        duration = (
+            (chunk * port.coefficient + out * self.result_coeff)
+            * self.config.tuple_unit
+            * self.work_scale
+        )
+        # Processor.acquire and SimulationClock.at, inlined exactly as
+        # in SimpleHashJoinProcess.kick.
+        if duration < 0:
+            raise ValueError("negative duration")
+        self.cpu_busy = True
+        clock = self.clock
+        processor = self.processor
+        now = clock.now
+        busy = processor.busy_until
+        start = busy if busy > now else now
+        if duration > 0:
+            if processor.stalls:
+                duration *= processor.stall_factor(start)
+            end = start + duration
+            processor.busy_until = end
+            intervals = processor.intervals
+            name = self.name
+            if intervals:
+                last = intervals[-1]
+                if last[2] == name and -1e-12 < last[1] - start < 1e-12:
+                    intervals[-1] = (last[0], end, name)
+                else:
+                    intervals.append((start, end, name))
+            else:
+                intervals.append((start, end, name))
+        else:
+            end = start + duration
+            processor.busy_until = end
+        heappush(
+            clock._queue,
+            (end, clock._seq, None, self._chunk_done, (port, chunk, out)),
+        )
+        clock._seq += 1

@@ -19,6 +19,7 @@ which is what lets it replay the same float arithmetic off the heap.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, List, Optional
 
 from .events import SimulationClock
@@ -28,6 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 #: Tolerance for "this fractional tuple count is drained".
 EPSILON = 1e-9
+
+INFINITY = float("inf")
 
 
 class Port:
@@ -77,7 +80,10 @@ class Port:
         self.receive(count, 0, now)
 
     def receive(self, count: float, eos: int, now: float) -> None:
-        """A batch (and/or end-of-stream markers) arrives."""
+        """A batch (and/or end-of-stream markers) arrives.
+
+        :meth:`ConsumerGroup._arrive` applies the same update inline
+        for every port of a delivery; the two must stay in step."""
         if count < 0:
             raise ValueError("negative batch")
         if count > 0:
@@ -86,12 +92,15 @@ class Port:
                 self.first_arrival = now
         self.eos_received += eos
         if self.eos_received > self.expected_producers and self.mode != "base":
-            raise RuntimeError(
-                f"port {self.side} received {self.eos_received} EOS markers "
-                f"from {self.expected_producers} producers"
-            )
+            raise self._eos_overflow()
         if self.process is not None:
             self.process.kick()
+
+    def _eos_overflow(self) -> RuntimeError:
+        return RuntimeError(
+            f"port {self.side} received {self.eos_received} EOS markers "
+            f"from {self.expected_producers} producers"
+        )
 
     @property
     def stream_closed(self) -> bool:
@@ -141,6 +150,8 @@ class ConsumerGroup:
     ):
         if not ports:
             raise ValueError("consumer group needs at least one port")
+        if latency < 0:
+            raise ValueError("latency must be non-negative")
         if shares is None:
             shares = [1.0 / len(ports)] * len(ports)
         if len(shares) != len(ports):
@@ -175,11 +186,29 @@ class ConsumerGroup:
         """
         if count <= 0:
             return
-        if (
-            self.network is not None
-            and self.network.faults is not None
-            and self.network.faults.drops(clock.now)
-        ):
+        network = self.network
+        if network is not None and network.faults is not None:
+            if network.faults.drops(clock.now):
+                return
+        elif network is None or network.bandwidth == INFINITY:
+            # No faults and an infinite link: the transfer takes no
+            # link time, so the batch arrives one latency from now
+            # (_arrival_time and NetworkLink.transfer, inlined; the
+            # latency is non-negative, so the arrival is not in the
+            # past).
+            if network is not None:
+                network.transferred += count
+            heappush(
+                clock._queue,
+                (
+                    clock.now + self.latency,
+                    clock._seq,
+                    None,
+                    self._arrive,
+                    (clock, count, 0),
+                ),
+            )
+            clock._seq += 1
             return
         clock.at(self._arrival_time(clock, count), self._arrive, clock, count, 0)
 
@@ -199,5 +228,24 @@ class ConsumerGroup:
         )
 
     def _arrive(self, clock: SimulationClock, count: float, eos: int) -> None:
+        # Port.receive for each port in turn, inlined: each port is
+        # updated and its process kicked before the next port changes.
+        now = clock.now
         for port, share in zip(self.ports, self.shares):
-            port.receive(count * share, eos, clock.now)
+            part = count * share
+            if part > 0:
+                port.pending += part
+                if port.first_arrival is None:
+                    port.first_arrival = now
+            elif part < 0:
+                raise ValueError("negative batch")
+            if eos:
+                port.eos_received += eos
+                if (
+                    port.eos_received > port.expected_producers
+                    and port.mode != "base"
+                ):
+                    raise port._eos_overflow()
+            process = port.process
+            if process is not None and not process.cpu_busy:
+                process.kick()  # a no-op while its CPU is busy

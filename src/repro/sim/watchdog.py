@@ -98,12 +98,14 @@ class Watchdog:
 
     def observe(self, time: float, fn: Callable, args: tuple) -> None:
         """Called by the clock before dispatching each event."""
+        self._recent.append((time, fn, args))
         if time != self._instant:
+            # The first event at an instant cannot trip (the limit is
+            # at least 1).
             self._instant = time
             self._count_at_instant = 1
-        else:
-            self._count_at_instant += 1
-        self._recent.append((time, fn, args))
+            return
+        self._count_at_instant += 1
         if self._count_at_instant > self.max_events_per_instant:
             self.tripped = True
             raise WatchdogError(

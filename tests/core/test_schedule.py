@@ -175,6 +175,59 @@ class TestValidation:
             ParallelSchedule("X", tree, 2, tasks).validate()
 
 
+class TestClosureReuse:
+    """Validation and the memory peak test many task pairs against one
+    happens-before closure instead of recomputing it per pair."""
+
+    @staticmethod
+    def count_closures(monkeypatch):
+        calls = []
+        original = ParallelSchedule.happens_before
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ParallelSchedule, "happens_before", counting)
+        return calls
+
+    def wide_bushy_schedule(self, strategy):
+        names = paper_relation_names(10)
+        catalog = Catalog.regular(names, 100)
+        tree = make_shape("wide_bushy", names)
+        return get_strategy(strategy).schedule(tree, catalog, 40), catalog
+
+    @pytest.mark.parametrize("strategy", ["SP", "SE", "RD", "FP"])
+    def test_validate_computes_one_closure(self, monkeypatch, strategy):
+        schedule, _ = self.wide_bushy_schedule(strategy)
+        calls = self.count_closures(monkeypatch)
+        schedule.validate()
+        assert len(calls) == 1
+
+    def test_rejected_schedule_computes_one_closure(self, monkeypatch):
+        tree = two_join_tree()
+        tasks = make_tasks(tree, after1=(), mode="pipelined")
+        calls = self.count_closures(monkeypatch)
+        with pytest.raises(ScheduleError, match="may overlap but share"):
+            ParallelSchedule("X", tree, 2, tasks).validate()
+        assert len(calls) == 1
+
+    def test_memory_peak_computes_one_closure(self, monkeypatch):
+        from repro.core.memory import peak_memory_per_processor
+
+        schedule, catalog = self.wide_bushy_schedule("RD")
+        calls = self.count_closures(monkeypatch)
+        peak_memory_per_processor(schedule, catalog)
+        assert len(calls) == 1
+
+    def test_passed_closure_matches_recomputed(self):
+        schedule, _ = self.wide_bushy_schedule("SE")
+        before = schedule.happens_before()
+        for a in schedule.tasks:
+            for b in schedule.tasks:
+                assert schedule.may_overlap(a, b, before) == schedule.may_overlap(a, b)
+
+
 class TestMetrics:
     def test_operation_processes(self):
         names = paper_relation_names(10)

@@ -89,6 +89,31 @@ class TestLifecycle:
         assert proc.busy_time() == 0.0
 
 
+class TestChunkGuards:
+    @pytest.mark.parametrize(
+        "cls", [SimpleHashJoinProcess, PipeliningHashJoinProcess]
+    )
+    def test_negative_chunk_duration_rejected(self, cls):
+        process, clock, _, _ = build_process(cls, work_scale=-1.0)
+        process.init_ready()
+        with pytest.raises(ValueError, match="negative duration"):
+            process.release()
+
+    @pytest.mark.parametrize(
+        "cls", [SimpleHashJoinProcess, PipeliningHashJoinProcess]
+    )
+    def test_aborted_process_ignores_queued_chunk(self, cls):
+        process, clock, proc, done = build_process(cls)
+        process.init_ready()
+        process.release()
+        busy = proc.busy_time()
+        assert busy > 0  # the first chunk is queued
+        process.abort()
+        clock.run()
+        assert proc.busy_time() == busy
+        assert not process.done and done == []
+
+
 class TestSimpleHashJoinProcess:
     def test_probe_buffered_until_build_drained(self):
         """Arriving probe tuples must wait for the build phase."""

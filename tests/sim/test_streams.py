@@ -106,3 +106,28 @@ class TestConsumerGroup:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
             ConsumerGroup([], latency=0.0)
+
+
+class TestArrivalGuards:
+    """``ConsumerGroup._arrive`` updates ports inline; it must keep
+    every check ``Port.receive`` makes."""
+
+    def test_eos_overflow_on_arrival(self):
+        clock = SimulationClock()
+        group = ConsumerGroup([port(producers=1)], latency=0.0)
+        group.deliver_store(clock, 10.0, producers=2)
+        with pytest.raises(RuntimeError, match="2 EOS markers from 1"):
+            clock.run()
+
+    def test_negative_share_of_a_batch_rejected(self):
+        clock = SimulationClock()
+        group = ConsumerGroup(
+            [port(), port()], latency=0.0, shares=[1.5, -0.5]
+        )
+        group.deliver(clock, 10.0)
+        with pytest.raises(ValueError, match="negative batch"):
+            clock.run()
+
+    def test_negative_latency_rejected(self):
+        with pytest.raises(ValueError, match="latency"):
+            ConsumerGroup([port()], latency=-0.1)
